@@ -1,32 +1,11 @@
-"""Hot numeric kernels.
-
-Every kernel here is a tight scalar/array loop that dominates runtime.
-By default they are compiled with numba's @njit; setting the environment
-variable HYPERBC_NO_NUMBA=1 selects the pure Python/numpy fallback path
-(same code, uncompiled).  benchmarks/bench_kernels.py compares the two.
-"""
+"""Hot numeric kernels: log-Gamma, the Gauss and Bessel series, Ryser's
+permanent and the Harish-Chandra coefficient recursion.  They are kept in
+one module so each can be timed and replaced on its own."""
 
 import cmath
 import math
-import os
 
 import numpy as np
-
-_TRUTHY = ("1", "true", "yes", "on")
-NUMBA_DISABLED = os.environ.get("HYPERBC_NO_NUMBA", "").lower() in _TRUTHY
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover
-        NUMBA_DISABLED = True
-
-if NUMBA_DISABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 _LOG_SQRT_2PI = 0.9189385332046727417803297364056
 _LOG_PI = 1.1447298858494001741434273513531
@@ -45,7 +24,6 @@ _LANCZOS = (
 )
 
 
-@_njit(cache=True)
 def log_gamma_right(z):
     """Lanczos log-Gamma for Re z >= 0.5."""
     zz = z - 1.0
@@ -56,7 +34,6 @@ def log_gamma_right(z):
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
-@_njit(cache=True)
 def log_gamma(z):
     """Complex log-Gamma; reflection formula for Re z < 0.5.
 
@@ -68,7 +45,6 @@ def log_gamma(z):
     return _LOG_PI - cmath.log(cmath.sin(math.pi * z)) - log_gamma_right(1.0 - z)
 
 
-@_njit(cache=True)
 def hyp2f1_series(a, b, c, w, maxterms):
     """Direct Gauss series sum_{k} (a)_k (b)_k / ((c)_k k!) w^k for |w| < 1.
 
@@ -93,7 +69,6 @@ def hyp2f1_series(a, b, c, w, maxterms):
     return s, maxterms
 
 
-@_njit(cache=True)
 def bessel_series(alpha, x, maxterms):
     """Normalized Bessel series sum_m (-x^2/4)^m / (m! (alpha+1)_m)."""
     q = -(x * x) / 4.0
@@ -109,7 +84,6 @@ def bessel_series(alpha, x, maxterms):
     return s, maxterms
 
 
-@_njit(cache=True)
 def ryser_permanent(a):
     """Permanent of a complex square matrix via Ryser's formula (Gray code)."""
     n = a.shape[0]
@@ -144,42 +118,33 @@ def ryser_permanent(a):
     return total
 
 
-@_njit(cache=True)
 def hc_coeffs(mu_vecs, starts, roots_of, js_of, srcs_of, root_vecs, kw, lam, rho):
     """Harish-Chandra series coefficients by the height recursion.
 
     mu_vecs: integer lattice points as float vectors, sorted by height,
     index 0 is the origin.  (starts, roots_of, js_of, srcs_of) flatten,
-    per point p, the contributing triples (root, j, index of mu - j*root).
-    lam and rho are in Euclidean coordinates.  Returns (coeffs, min |denom|).
+    per point p, the contributing triples (root, j, index of mu - j*root);
+    j is implied by the source index and not read here.  lam and rho are
+    in Euclidean coordinates.  Every point of height h depends only on
+    lower heights, so each shell is one gather and one segment sum.  The
+    caller has checked the denominators (mu,mu) - 2(lambda,mu) for
+    genericity; none may vanish.
     """
-    npts, n = mu_vecs.shape
+    npts = len(mu_vecs)
+    den = np.sum(mu_vecs * mu_vecs, axis=1) - 2.0 * (mu_vecs @ lam)
+    # edge weight -2 k_r (alpha_r, lambda - rho - mu_p + j alpha_r); the
+    # source mu_p - j alpha_r makes the lattice part an exact integer
+    weight = (mu_vecs @ root_vecs.T)[srcs_of, roots_of].astype(np.complex128)
+    weight -= (root_vecs @ (lam - rho))[roots_of]
+    weight *= (2.0 * kw)[roots_of]
+    heights = np.cumsum(mu_vecs, axis=1).sum(axis=1)
+    cuts = np.searchsorted(heights, np.arange(1.0, heights[-1] + 2.0))
     out = np.zeros(npts, dtype=np.complex128)
-    out[0] = 1.0 + 0.0j
-    minden = 1e300
-    for p in range(1, npts):
-        mm = 0.0
-        lm = 0.0 + 0.0j
-        for i in range(n):
-            mm += mu_vecs[p, i] * mu_vecs[p, i]
-            lm += lam[i] * mu_vecs[p, i]
-        den = mm - 2.0 * lm
-        ad = abs(den)
-        if ad < minden:
-            minden = ad
-        if ad == 0.0:
-            # exact resonance; caller rejects via the returned minimum
-            out[p] = 0.0 + 0.0j
-            continue
-        acc = 0.0 + 0.0j
-        for e in range(starts[p], starts[p + 1]):
-            r = roots_of[e]
-            j = js_of[e]
-            ip = 0.0 + 0.0j
-            for i in range(n):
-                ip += root_vecs[r, i] * (
-                    lam[i] - rho[i] - mu_vecs[p, i] + j * root_vecs[r, i]
-                )
-            acc += kw[r] * ip * out[srcs_of[e]]
-        out[p] = -2.0 * acc / den
-    return out, minden
+    out[0] = 1.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # every nonzero point has an edge through a simple root, so no
+        # segment of reduceat is empty
+        e0, e1 = starts[a], starts[b]
+        acc = np.add.reduceat(weight[e0:e1] * out[srcs_of[e0:e1]], starts[a:b] - e0)
+        out[a:b] = acc / den[a:b]
+    return out

@@ -13,44 +13,10 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ChamberError,
-    DegenerateLambda,
-    DomainError,
-    HalfPlaneError,
-    NonConvergence,
-    ParameterError,
-    PoleError,
-    SingularityTooClose,
-    SizeError,
-    SmallDenominator,
-    StencilBlowup,
-    TailTooLarge,
-    ZeroDenominator,
-)
+from .errors import NumericalError, ParameterError, PreconditionError
 from .hyper import EvalRequest, evaluate
 from .rootsystem import ChamberPoint, MultiplicityBC
 from .verify import SUITE_NAMES, run_suite
-
-_PRECONDITION_ERRORS = (
-    ParameterError,
-    DomainError,
-    ChamberError,
-    HalfPlaneError,
-    SizeError,
-    PoleError,
-    SingularityTooClose,
-    DegenerateLambda,
-)
-_NUMERICAL_ERRORS = (
-    NonConvergence,
-    SmallDenominator,
-    TailTooLarge,
-    StencilBlowup,
-    ZeroDenominator,
-    FloatingPointError,
-    OverflowError,
-)
 
 _CLI_TARGETS = ("F", "Phi", "FTheta", "BesselBC")
 _TARGET_MAP = {"F": "F", "Phi": "PhiSeries", "FTheta": "FTheta", "BesselBC": "BesselBC"}
@@ -304,10 +270,10 @@ def main(argv=None) -> int:
         if args.command == "grid":
             return _run_grid(args)
         return _run_verify(args)
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

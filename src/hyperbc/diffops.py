@@ -5,7 +5,7 @@ D_p = Delta_m^(-k_m) p(L_1,...,L_n) Delta_m^(k_m), their rational limits,
 and residual/commutativity testers."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,44 +64,44 @@ def _check_singularity(k: MultiplicityBC, t: np.ndarray, h: float) -> None:
         )
 
 
-def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, scheme: int):
-    ks, kl, km = complex(k.k_s), complex(k.k_l), k.k_m
+def _coth(x: float) -> float:
+    return 1.0 / math.tanh(x)
+
+
+def _coth_rational(x: float) -> float:
+    """The rational limit of coth: 1/x.  With it the rank-one coefficient
+    2(k_s coth t + 2 k_l coth 2t) becomes (2k_s + 2k_l)/t."""
+    return 1.0 / x
+
+
+def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, scheme: int,
+             coth, g0):
+    """Rank-one block L_j = d^2/dt_j^2 + 2(k_s coth t_j + 2 k_l coth 2t_j)
+    d/dt_j applied by finite differences; g0 = g(t), and coth is _coth or
+    its rational limit _coth_rational."""
+    ks, kl = complex(k.k_s), complex(k.k_l)
+    e = np.eye(len(t))[j]
+    d1 = _dir_d1(g, t, e, h, scheme)
+    d2 = _dir_d2(g, t, e, h, scheme, g0)
+    coef = 2.0 * (ks * coth(t[j]) + 2.0 * kl * coth(2.0 * t[j]))
+    return d2 + coef * d1
+
+
+def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, scheme: int, coth):
+    km = k.k_m
     n = len(t)
     f0 = f(t)
     eye = np.eye(n)
     total = 0.0 + 0.0j
     for j in range(n):
-        d1 = _dir_d1(f, t, eye[j], h, scheme)
-        d2 = _dir_d2(f, t, eye[j], h, scheme, f0)
-        coef = 2.0 * (ks / math.tanh(t[j]) + 2.0 * kl / math.tanh(2.0 * t[j]))
-        total += d2 + coef * d1
+        total += _Lj_once(k, j, f, t, h, scheme, coth, f0)
     if km != 0:
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (-1.0, 1.0):
                     d = eye[i] + s * eye[j]
                     dd = _dir_d1(f, t, d, h, scheme)
-                    total += 2.0 * km / math.tanh(t[i] + s * t[j]) * dd
-    return total
-
-
-def _L_rat_once(k: MultiplicityBC, f, t: np.ndarray, h: float, scheme: int):
-    ks, kl, km = complex(k.k_s), complex(k.k_l), k.k_m
-    n = len(t)
-    f0 = f(t)
-    eye = np.eye(n)
-    total = 0.0 + 0.0j
-    for j in range(n):
-        d1 = _dir_d1(f, t, eye[j], h, scheme)
-        d2 = _dir_d2(f, t, eye[j], h, scheme, f0)
-        total += d2 + (2.0 * ks + 2.0 * kl) / t[j] * d1
-    if km != 0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s in (-1.0, 1.0):
-                    d = eye[i] + s * eye[j]
-                    dd = _dir_d1(f, t, d, h, scheme)
-                    total += 2.0 * km / (t[i] + s * t[j]) * dd
+                    total += 2.0 * km * coth(t[i] + s * t[j]) * dd
     return total
 
 
@@ -118,7 +118,8 @@ def apply_L(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig()):
     t = np.asarray(getattr(t, "t", t), dtype=float)
     _check_singularity(k, t, cfg.h)
     return _richardson(
-        lambda h: _L_once(k, f, t, h, cfg.scheme), cfg.h, cfg.scheme, cfg.richardson
+        lambda h: _L_once(k, f, t, h, cfg.scheme, _coth), cfg.h, cfg.scheme,
+        cfg.richardson,
     )
 
 
@@ -130,7 +131,7 @@ def apply_L_rational(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig
     t = np.asarray(getattr(t, "t", t), dtype=float)
     _check_singularity(k, t, cfg.h)
     return _richardson(
-        lambda h: _L_rat_once(k, f, t, h, cfg.scheme),
+        lambda h: _L_once(k, f, t, h, cfg.scheme, _coth_rational),
         cfg.h,
         cfg.scheme,
         cfg.richardson,
@@ -192,28 +193,7 @@ def _poly_mul(a, b):
     return out
 
 
-def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, scheme: int):
-    """Rank-one block L_j = d^2/dt_j^2 + 2(k_s coth t_j + 2 k_l coth 2t_j)
-    d/dt_j applied by finite differences."""
-    ks, kl = complex(k.k_s), complex(k.k_l)
-    eye = np.eye(len(t))
-    f0 = g(t)
-    d1 = _dir_d1(g, t, eye[j], h, scheme)
-    d2 = _dir_d2(g, t, eye[j], h, scheme, f0)
-    coef = 2.0 * (ks / math.tanh(t[j]) + 2.0 * kl / math.tanh(2.0 * t[j]))
-    return d2 + coef * d1
-
-
-def _Lj_rat_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, scheme: int):
-    ks, kl = complex(k.k_s), complex(k.k_l)
-    eye = np.eye(len(t))
-    f0 = g(t)
-    d1 = _dir_d1(g, t, eye[j], h, scheme)
-    d2 = _dir_d2(g, t, eye[j], h, scheme, f0)
-    return d2 + (2.0 * ks + 2.0 * kl) / t[j] * d1
-
-
-def _apply_monomial(k, expo, g, t, cfg, block_once):
+def _apply_monomial(k, expo, g, t, cfg, coth):
     nz = [j for j, e in enumerate(expo) if e > 0]
     if not nz:
         return g(t)
@@ -223,17 +203,17 @@ def _apply_monomial(k, expo, g, t, cfg, block_once):
     rest = tuple(rest)
 
     def inner(s):
-        return _apply_monomial(k, rest, g, s, cfg, block_once)
+        return _apply_monomial(k, rest, g, s, cfg, coth)
 
     return _richardson(
-        lambda h: block_once(k, j, inner, t, h, cfg.scheme),
+        lambda h: _Lj_once(k, j, inner, t, h, cfg.scheme, coth, inner(t)),
         cfg.h,
         cfg.scheme,
         cfg.richardson,
     )
 
 
-def _apply_dp(k, p, f, t, cfg, block_once, weight_fn):
+def _apply_dp(k, p, f, t, cfg, coth, weight_fn):
     t = np.asarray(getattr(t, "t", t), dtype=float)
     _check_singularity(k, t, cfg.h)
     km = k.k_m
@@ -246,7 +226,7 @@ def _apply_dp(k, p, f, t, cfg, block_once, weight_fn):
 
     total = 0.0 + 0.0j
     for expo, coeff in p.monomials().items():
-        total += coeff * _apply_monomial(k, expo, g, t, cfg, block_once)
+        total += coeff * _apply_monomial(k, expo, g, t, cfg, coth)
     if km != 0:
         total /= weight_fn(t)
 
@@ -256,7 +236,7 @@ def _apply_dp(k, p, f, t, cfg, block_once, weight_fn):
     if cfg2 is not None and not cfg.richardson:
         total2 = 0.0 + 0.0j
         for expo, coeff in p.monomials().items():
-            total2 += coeff * _apply_monomial(k, expo, g, t, cfg2, block_once)
+            total2 += coeff * _apply_monomial(k, expo, g, t, cfg2, coth)
         if km != 0:
             total2 /= weight_fn(t)
         scale = max(abs(total), abs(total2), 1e-300)
@@ -274,7 +254,7 @@ def apply_Dp(k: MultiplicityBC, p: SymmetricPolynomial, f, t,
     [Delta_m^(-k_m) p(L_1,...,L_n) Delta_m^(k_m) f](t).  On the conjugated
     product of rank-one solutions each L_j contributes the eigenvalue
     lambda_j^2 - (k_s + 2 k_l)^2."""
-    return _apply_dp(k, p, f, t, cfg, _Lj_once, lambda s: delta_m(s) ** k.k_m)
+    return _apply_dp(k, p, f, t, cfg, _coth, lambda s: delta_m(s) ** k.k_m)
 
 
 def apply_Dp_rational(k: MultiplicityBC, p: SymmetricPolynomial, f, t,
@@ -282,7 +262,7 @@ def apply_Dp_rational(k: MultiplicityBC, p: SymmetricPolynomial, f, t,
     """Rational analogue of apply_Dp with the L_j^rat blocks and the
     rational Weyl denominator."""
     return _apply_dp(
-        k, p, f, t, cfg, _Lj_rat_once, lambda s: delta_m_rational(s) ** k.k_m
+        k, p, f, t, cfg, _coth_rational, lambda s: delta_m_rational(s) ** k.k_m
     )
 
 

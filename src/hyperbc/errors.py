@@ -5,54 +5,63 @@ class HyperBCError(Exception):
     """Base class for all hyperbc errors."""
 
 
-class PoleError(HyperBCError):
+class PreconditionError(HyperBCError):
+    """The request was refused: its inputs lie outside what the
+    evaluation supports."""
+
+
+class NumericalError(HyperBCError):
+    """An admissible request failed in the numerics."""
+
+
+class PoleError(PreconditionError):
     """Evaluation requested at (or too close to) a Gamma-function pole."""
 
 
-class DomainError(HyperBCError):
+class DomainError(PreconditionError):
     """Argument outside the supported evaluation domain."""
 
 
-class NonConvergence(HyperBCError):
+class NonConvergence(NumericalError):
     """Series did not meet its tail bound within the iteration cap."""
 
 
-class DegenerateLambda(HyperBCError):
+class DegenerateLambda(PreconditionError):
     """Spectral parameter hits an excluded integer or a coincidence
     that the requested evaluation path cannot handle."""
 
 
-class ParameterError(HyperBCError):
+class ParameterError(PreconditionError):
     """Multiplicity parameters outside the admissible set."""
 
 
-class ChamberError(HyperBCError):
+class ChamberError(PreconditionError):
     """Point not in the open positive chamber t_1 > ... > t_n > 0."""
 
 
-class HalfPlaneError(HyperBCError):
+class HalfPlaneError(PreconditionError):
     """Spectral parameter outside the half-plane Re lambda_i > 0."""
 
 
-class ZeroDenominator(HyperBCError):
+class ZeroDenominator(NumericalError):
     """Normalizing c-function value vanishes within tolerance."""
 
 
-class SizeError(HyperBCError):
+class SizeError(PreconditionError):
     """Rank n exceeds the supported combinatorial range."""
 
 
-class SmallDenominator(HyperBCError):
+class SmallDenominator(NumericalError):
     """Genericity margin of the series recursion fails."""
 
 
-class TailTooLarge(HyperBCError):
+class TailTooLarge(NumericalError):
     """Truncated series tail estimate exceeds the requested tolerance."""
 
 
-class SingularityTooClose(HyperBCError):
+class SingularityTooClose(PreconditionError):
     """Finite-difference stencil would touch a singular hyperplane."""
 
 
-class StencilBlowup(HyperBCError):
+class StencilBlowup(NumericalError):
     """Nested finite differencing lost too many significant digits."""

@@ -11,7 +11,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .errors import ChamberError, SmallDenominator, TailTooLarge
+from .errors import SmallDenominator, TailTooLarge
+from .rootsystem import require_chamber, rho
 
 DEFAULT_ORDER = 12
 #: genericity margin on |(mu,mu) - 2(lambda,mu)| in units of max(1, |lambda|^2)
@@ -33,6 +34,7 @@ class RootData:
     srcs_of: np.ndarray
     root_vecs: np.ndarray  # (R, n)
     root_kinds: tuple  # "s", "l", or "m" per root
+    index: dict  # integer vector of mu -> row of mu_vecs
 
 
 def _positive_roots(n: int):
@@ -121,6 +123,7 @@ def root_data(n: int, order: int) -> RootData:
         srcs_of=np.array(srcs_of, dtype=np.int64),
         root_vecs=root_vecs,
         root_kinds=kinds,
+        index=index,
     )
     _ROOT_DATA_CACHE[key] = data
     return data
@@ -141,17 +144,18 @@ class HCCoeffTable:
         """Gamma_mu for mu given by simple-root coefficients."""
         c = tuple(simple_coeffs)
         v = [c[0]] + [c[i] - c[i - 1] for i in range(1, self.n)]
-        key = tuple(int(x) for x in v)
-        idx = {tuple(int(round(y)) for y in w): i for i, w in enumerate(self.data.mu_vecs)}
-        return complex(self.coeffs[idx[key]])
+        return complex(self.coeffs[self.data.index[tuple(int(x) for x in v)]])
 
 
-def _rho_coords(k) -> np.ndarray:
-    ks, km, kl = complex(k.k_s), complex(k.k_m), complex(k.k_l)
-    n = k.n
-    return np.array(
-        [ks + 2.0 * kl + 2.0 * (n - j) * km for j in range(1, n + 1)], dtype=complex
-    )
+def check_genericity(data: RootData, lam_e: np.ndarray, error=SmallDenominator) -> None:
+    """Raise `error` unless every denominator |(mu,mu) - 2(lambda,mu)|,
+    mu != 0, exceeds DENOM_MARGIN * max(1, |lambda|^2); lam_e is lambda
+    in Euclidean coordinates."""
+    den = np.abs(np.sum(data.mu_vecs**2, axis=1) - 2.0 * (data.mu_vecs @ lam_e))
+    margin = float(np.min(den[1:])) if len(den) > 1 else math.inf
+    limit = DENOM_MARGIN * max(1.0, float(np.max(np.abs(lam_e)) ** 2))
+    if margin <= limit:
+        raise error(f"genericity margin {margin:.3e} below {limit:.3e}")
 
 
 def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
@@ -173,10 +177,11 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
         ],
         dtype=complex,
     )
-    rho_c = _rho_coords(k)
+    rho_c = rho(k)
     lam_e = lam / 2.0  # Euclidean coordinates
     rho_e = rho_c / 2.0
-    coeffs, minden = _kernels.hc_coeffs(
+    check_genericity(data, lam_e)
+    coeffs = _kernels.hc_coeffs(
         data.mu_vecs,
         data.starts,
         data.roots_of,
@@ -184,14 +189,9 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
         data.srcs_of,
         data.root_vecs,
         kw,
-        np.ascontiguousarray(lam_e),
-        np.ascontiguousarray(rho_e),
+        lam_e,
+        rho_e,
     )
-    scale = max(1.0, float(np.max(np.abs(lam_e)) ** 2))
-    if minden <= DENOM_MARGIN * scale:
-        raise SmallDenominator(
-            f"genericity margin {minden:.3e} below {DENOM_MARGIN * scale:.3e}"
-        )
     return HCCoeffTable(n=n, order=order, lam=lam, rho=rho_c, data=data, coeffs=coeffs)
 
 
@@ -206,8 +206,7 @@ def series_eval(table: HCCoeffTable, t, tail_tol: float = 1e-10) -> SeriesValue:
     a last-shell geometric tail estimate.  t must be deep enough in the
     chamber for the estimate to come in under tail_tol (relative)."""
     t = np.asarray(getattr(t, "t", t), dtype=float)
-    if not (np.all(np.diff(t) < 0.0) and t[-1] > 0.0):
-        raise ChamberError(f"t = {t} not in the open chamber")
+    require_chamber(t)
     two_t = 2.0 * t
     lead = np.exp((table.lam - table.rho) @ (t + 0.0j))
     damp = np.exp(-table.data.mu_vecs @ two_t)

@@ -11,15 +11,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    ChamberError,
     DegenerateLambda,
     DomainError,
     HalfPlaneError,
     NonConvergence,
     ParameterError,
 )
-from .hcseries import root_data
-from .jacobi import c_rank1, jacobi_phi, jacobi_phi_asymptotic
+from .hcseries import check_genericity, root_data
+from .jacobi import jacobi_phi, jacobi_phi_asymptotic
 from .rootsystem import (
     DEGENERACY_TOL,
     THETA_AN1,
@@ -28,6 +27,7 @@ from .rootsystem import (
     constant_B,
     delta_m,
     delta_m_rational,
+    require_chamber,
     rho,
 )
 from .special import bessel_j_normalized
@@ -71,21 +71,8 @@ def _as_t(t) -> np.ndarray:
     return np.asarray(getattr(t, "t", t), dtype=float)
 
 
-def _require_chamber(t: np.ndarray) -> None:
-    if not (np.all(np.diff(t) < 0.0) and t[-1] > 0.0):
-        raise ChamberError(f"t = {t} not in the open chamber")
-
-
-def _vandermonde_sq(lam: np.ndarray) -> complex:
-    v = 1.0 + 0.0j
-    n = len(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v *= lam[i] ** 2 - lam[j] ** 2
-    return v
-
-
 def _pi(x: np.ndarray) -> complex:
+    """prod_{i<j} (x_i - x_j)."""
     v = 1.0 + 0.0j
     n = len(x)
     for i in range(n):
@@ -108,16 +95,30 @@ def _degenerate_pairs(lam: np.ndarray, tol: float = DEGENERACY_TOL):
 def _cond(mat: np.ndarray, result: complex) -> float:
     """Cancellation heuristic: ratio of the no-cancellation magnitude of the
     alternating/plain sum to the achieved result."""
-    bound = abs(_kernels.ryser_permanent(np.ascontiguousarray(np.abs(mat) + 0.0j)))
+    bound = abs(_kernels.ryser_permanent(np.abs(mat) + 0.0j))
     return float(bound / max(1e-300, abs(result)))
+
+
+def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
+            den: complex = 1.0) -> EvalResult:
+    """The reduction shared by every evaluator: perm(mat) / n! for
+    k_m = 0, num * det(mat) / den for k_m = 1, with the cancellation
+    estimate of either."""
+    if k_m == 0:
+        red = _kernels.ryser_permanent(mat)
+        value = red / math.factorial(len(mat))
+    else:
+        red = complex(np.linalg.det(mat))
+        value = num * red / den
+    return EvalResult(complex(value), _cond(mat, red), False)
 
 
 def phi_product(k: MultiplicityBC, lam, t) -> complex:
     """Delta_m(a_t)^(-k_m) prod_j Phi^(alpha,beta)_{-i lambda_j}(t_j), the
     product form of the Harish-Chandra series for k_m in {0, 1}."""
     lam, t = _as_lam(lam), _as_t(t)
-    _require_chamber(t)
-    _check_genericity(k, lam)
+    require_chamber(t)
+    check_genericity(root_data(k.n, GENERICITY_ORDER), lam / 2.0, DegenerateLambda)
     jp = k.jacobi
     val = 1.0 + 0.0j
     for j in range(k.n):
@@ -125,20 +126,6 @@ def phi_product(k: MultiplicityBC, lam, t) -> complex:
     if k.k_m == 1:
         val /= delta_m(t)
     return val
-
-
-def _check_genericity(k: MultiplicityBC, lam: np.ndarray, order: int = GENERICITY_ORDER):
-    data = root_data(k.n, order)
-    lam_e = lam / 2.0
-    mm = np.sum(data.mu_vecs**2, axis=1)
-    lm = data.mu_vecs @ lam_e
-    den = np.abs(mm - 2.0 * lm)
-    scale = max(1.0, float(np.max(np.abs(lam_e)) ** 2))
-    if np.min(den[1:]) <= 1e-8 * scale:
-        raise DegenerateLambda(
-            "lambda fails the series genericity condition "
-            f"(margin {np.min(den[1:]):.3e})"
-        )
 
 
 def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -197,16 +184,11 @@ def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalRes
         for j in range(n):
             # DD'_ij = s_1^(j) g_i[s_1..s_{j+1}] = sum_d C_{d+j} h_d(sigma)
             mat[i, j] = np.sum(coef[j:] * h[j, : len(coef) - j])
-    det = complex(np.linalg.det(mat))
     npairs = n * (n - 1) // 2
     sign = -1.0 if npairs % 2 else 1.0
-    value = (
-        sign
-        * constant_B(k)
-        * det
-        / (s1**npairs * 2.0 ** (n * (n - 1)) * _vandermonde_sq(lam))
+    return _reduce(
+        mat, 1, sign * constant_B(k), s1**npairs * 2.0 ** (n * (n - 1)) * _pi(lam**2)
     )
-    return EvalResult(value=value, condition_estimate=_cond(mat, det), degenerate_path=False)
 
 
 def f_determinant(k: MultiplicityBC, lam, t) -> EvalResult:
@@ -218,7 +200,7 @@ def f_determinant(k: MultiplicityBC, lam, t) -> EvalResult:
     if k.k_m != 1:
         raise ParameterError("determinant formula requires k_m = 1")
     lam, t = _as_lam(lam), _as_t(t)
-    _require_chamber(t)
+    require_chamber(t)
     if _degenerate_pairs(lam):
         raise DegenerateLambda(
             "coinciding lambda_i^2; use evaluate() for the confluent path"
@@ -226,9 +208,7 @@ def f_determinant(k: MultiplicityBC, lam, t) -> EvalResult:
     if math.sinh(t[0]) ** 2 < SMALL_T_SINH2:
         return _f_det_divided(k, lam, t)
     mat = _phi_matrix(k, lam, t)
-    det = complex(np.linalg.det(mat))
-    value = constant_B(k) * det / (_vandermonde_sq(lam) * delta_m(t))
-    return EvalResult(value=value, condition_estimate=_cond(mat, det), degenerate_path=False)
+    return _reduce(mat, 1, constant_B(k), _pi(lam**2) * delta_m(t))
 
 
 def f_permanent(k: MultiplicityBC, lam, t) -> EvalResult:
@@ -237,10 +217,7 @@ def f_permanent(k: MultiplicityBC, lam, t) -> EvalResult:
     if k.k_m != 0:
         raise ParameterError("permanent formula requires k_m = 0")
     lam, t = _as_lam(lam), _as_t(t)
-    mat = _phi_matrix(k, lam, t)
-    perm = _kernels.ryser_permanent(np.ascontiguousarray(mat))
-    value = perm / math.factorial(k.n)
-    return EvalResult(value=complex(value), condition_estimate=_cond(mat, perm), degenerate_path=False)
+    return _reduce(_phi_matrix(k, lam, t), 0)
 
 
 def f_theta(k: MultiplicityBC, lam, t, theta: RootSubset = THETA_AN1) -> EvalResult:
@@ -259,17 +236,13 @@ def f_theta(k: MultiplicityBC, lam, t, theta: RootSubset = THETA_AN1) -> EvalRes
         for j in range(n):
             mat[i, j] = jacobi_phi_asymptotic(jp, lam[i], t[j])
     if k.k_m == 0:
-        perm = _kernels.ryser_permanent(np.ascontiguousarray(mat))
-        value = perm / math.factorial(n)
-        return EvalResult(complex(value), _cond(mat, perm), False)
+        return _reduce(mat, 0)
     scale = max(1.0, float(np.max(np.abs(lam))))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(lam[i] - lam[j]) <= DEGENERACY_TOL * scale:
                 raise DegenerateLambda(f"lambda_{i+1} = lambda_{j+1}")
-    det = complex(np.linalg.det(mat))
-    value = _pi(rho(k)) / _pi(lam) * det / delta_m(t)
-    return EvalResult(complex(value), _cond(mat, det), False)
+    return _reduce(mat, 1, _pi(rho(k)) / _pi(lam), delta_m(t))
 
 
 def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -294,16 +267,12 @@ def bessel_bcn(k: MultiplicityBC, lam, t) -> EvalResult:
         raise DomainError("lambda_j != 0 and t_j != 0 required")
     mat = _bessel_matrix(k, lam, t)
     if k.k_m == 0:
-        perm = _kernels.ryser_permanent(np.ascontiguousarray(mat))
-        value = perm / math.factorial(k.n)
-        return EvalResult(complex(value), _cond(mat, perm), False)
+        return _reduce(mat, 0)
     if _degenerate_pairs(lam):
         raise DegenerateLambda(
             "coinciding lambda_i^2; use evaluate() for the confluent path"
         )
-    det = complex(np.linalg.det(mat))
-    value = constant_B(k) * det / (_vandermonde_sq(lam) * delta_m_rational(t))
-    return EvalResult(complex(value), _cond(mat, det), False)
+    return _reduce(mat, 1, constant_B(k), _pi(lam**2) * delta_m_rational(t))
 
 
 def _confluent_det_ratio(row_fn, lam: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -316,9 +285,6 @@ def _confluent_det_ratio(row_fn, lam: np.ndarray) -> tuple[complex, np.ndarray]:
             f"{len(pairs)} coinciding pairs; only single confluence is supported"
         )
     (i, j) = pairs[0]
-    others = {i, j}
-    for a, b in pairs:
-        others |= {a, b}
     x = lam.astype(complex) ** 2
     xbar = 0.5 * (x[i] + x[j])
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -372,7 +338,7 @@ def evaluate(req: EvalRequest) -> EvalResult:
         return bessel_bcn(k, lam, t)
 
     if req.target == "F":
-        _require_chamber(t)
+        require_chamber(t)
         jp = k.jacobi
 
         def row_fn(lam_scalar):

@@ -10,7 +10,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, SizeError, ZeroDenominator
+from .errors import ChamberError, ParameterError, PoleError, SizeError, ZeroDenominator
 from .jacobi import JacobiParams
 from .special import _near_nonpositive_int, log_gamma
 
@@ -134,15 +134,27 @@ class ChamberPoint:
         return self.t.shape[0]
 
     def in_open_chamber(self) -> bool:
-        t = self.t
-        return bool(np.all(np.diff(t) < 0.0) and t[-1] > 0.0)
+        return in_open_chamber(self.t)
 
 
-def rho(k: MultiplicityBC) -> np.ndarray:
-    """rho(k)_j = k_s + 2 k_l + 2 (n - j) k_m in lambda_j coordinates."""
-    n = k.n
+def in_open_chamber(t: np.ndarray) -> bool:
+    """t_1 > ... > t_n > 0."""
+    return bool(np.all(np.diff(t) < 0.0) and t[-1] > 0.0)
+
+
+def require_chamber(t: np.ndarray) -> None:
+    if not in_open_chamber(t):
+        raise ChamberError(f"t = {t} not in the open chamber")
+
+
+def rho(k) -> np.ndarray:
+    """rho(k)_j = k_s + 2 k_l + 2 (n - j) k_m in lambda_j coordinates.
+    k needs only the attributes k_s, k_m, k_l and n; k_m may be any
+    complex number here."""
+    base = complex(k.k_s) + 2.0 * complex(k.k_l)
     return np.array(
-        [k.c0 + 2.0 * (n - j) * k.k_m for j in range(1, n + 1)], dtype=complex
+        [base + 2.0 * (k.n - j) * complex(k.k_m) for j in range(1, k.n + 1)],
+        dtype=complex,
     )
 
 

@@ -298,7 +298,7 @@ def _suite_ftheta(records):
         rh = rho(k)
         ew = np.exp(np.outer(lam, t))
         if km == 0:
-            ref = complex(_kernels.ryser_permanent(np.ascontiguousarray(ew))) / math.factorial(n)
+            ref = complex(_kernels.ryser_permanent(ew)) / math.factorial(n)
         else:
             pi_r = np.prod([rh[i] - rh[j] for i in range(n) for j in range(i + 1, n)])
             pi_l = np.prod([lam[i] - lam[j] for i in range(n) for j in range(i + 1, n)])

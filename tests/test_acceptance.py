@@ -15,22 +15,17 @@ from hyperbc.jacobi import JacobiParams, c_rank1, jacobi_phi, jacobi_phi_asympto
 from hyperbc.rootsystem import MultiplicityBC
 from hyperbc.special import gauss_2f1, log_gamma
 from hyperbc.verify import _deep_points, run_suite
-from hyperbc._kernels import NUMBA_DISABLED
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _within(dt, bound):
-    # runtime bounds hold for the default compiled kernels; the pure
-    # fallback selected by HYPERBC_NO_NUMBA is not held to them
-    return NUMBA_DISABLED or dt < bound
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _warmup():
-    # compile the jitted kernels before anything is timed
+    # run the evaluators and the series recursion once before anything is
+    # timed, so that first-call costs (imports, cache fills) do not count
+    # against the runtime bounds
     k1 = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
     k0 = MultiplicityBC(k_s=1.0, k_m=0, k_l=0.5, n=2)
     for k in (k1, k0):
@@ -62,7 +57,7 @@ def _suite_worst(name):
 class TestAcceptance:
     def test_criterion_01_rank_one_reduction(self):
         records, worst, dt = _suite_worst("rank1-reduction")
-        ok = all(r.passed for r in records) and _within(dt, 1.0)
+        ok = all(r.passed for r in records) and dt < 1.0
         _report(1, "rank-one reduction, 10x10 grid", worst, 1e-10, dt, ok)
 
     def test_criterion_02_oracle_equivalence(self):
@@ -70,7 +65,7 @@ class TestAcceptance:
         records = [r for r in run_suite("oracle-equivalence")
                    if "Weyl sum" in r.name]
         dt = time.perf_counter() - t0
-        ok = all(r.passed for r in records) and _within(dt, 30.0)
+        ok = all(r.passed for r in records) and dt < 30.0
         worst = max(r.error for r in records)
         _report(2, "det/perm formula vs Weyl-sum series oracle", worst, 1e-8, dt, ok)
 
@@ -86,7 +81,7 @@ class TestAcceptance:
                 ser = series_eval(table, t, tail_tol=1e-9).value
                 worst = max(worst, rel(prod, ser))
         dt = time.perf_counter() - t0
-        ok = worst <= 1e-8 and _within(dt, 10.0)
+        ok = worst <= 1e-8 and dt < 10.0
         _report(3, "series vs product form, n=2, order 12", worst, 1e-8, dt, ok)
 
     def test_criterion_04_normalization_at_identity(self):
@@ -174,6 +169,6 @@ class TestAcceptance:
                     + c_rank1(p, -lam) * jacobi_phi_asymptotic(p, -lam, tt)
                 worst = max(worst, rel(lhs, rhs))
         dt = time.perf_counter() - t0
-        ok = worst <= 1e-10 and _within(dt, 5.0)
+        ok = worst <= 1e-10 and dt < 5.0
         _report(12, "scalar-layer identities and connection formula", worst,
                 1e-10, dt, ok)

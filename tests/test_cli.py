@@ -200,12 +200,3 @@ class TestEntryPoint:
                               timeout=120)
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["value"][0] - 1.0751755732893242) < 1e-12
-
-    def test_pure_python_fallback_matches(self):
-        import os
-
-        env = dict(os.environ, HYPERBC_NO_NUMBA="1")
-        proc = subprocess.run(self.ARGV, capture_output=True, text=True,
-                              timeout=120, env=env)
-        assert proc.returncode == 0
-        assert abs(json.loads(proc.stdout)["value"][0] - 1.0751755732893242) < 1e-12

@@ -2,9 +2,12 @@
 bookkeeping, tail control, and agreement with the independent rank-one
 evaluation through the Gauss function."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hyperbc import _kernels
 from hyperbc.errors import ChamberError, SmallDenominator, TailTooLarge
 from hyperbc.hcseries import (
     _in_lattice,
@@ -45,7 +48,36 @@ class TestLattice:
         assert len(data.root_vecs) == 2 * 2 + 2  # short, long, two middle
 
 
+def _hc_coeffs_loop(d, kw, lam, rho):
+    """Point-by-point reference for the shell-by-shell kernel."""
+    out = np.zeros(len(d.mu_vecs), dtype=complex)
+    out[0] = 1.0
+    for p in range(1, len(d.mu_vecs)):
+        mu = d.mu_vecs[p]
+        acc = 0.0
+        for e in range(d.starts[p], d.starts[p + 1]):
+            alpha = d.root_vecs[d.roots_of[e]]
+            ip = alpha @ (lam - rho - mu + d.js_of[e] * alpha)
+            acc += kw[d.roots_of[e]] * ip * out[d.srcs_of[e]]
+        out[p] = -2.0 * acc / (mu @ mu - 2.0 * (lam @ mu))
+    return out
+
+
 class TestCoefficients:
+    @pytest.mark.parametrize("n, order", [(1, 30), (2, 20), (3, 12)])
+    def test_kernel_matches_point_loop(self, n, order):
+        # the shells sum their edges in another order than the loop, so
+        # agreement is to rounding relative to the largest coefficient
+        d = root_data(n, order)
+        rng = np.random.default_rng(n)
+        kw = rng.uniform(0.3, 1.5, len(d.root_vecs)) + 0.2j
+        lam = np.array([4.15 + 0.3j, 2.55, 1.07][:n]) / 2.0
+        rho = rng.uniform(0.5, 3.0, n)
+        args = (d.mu_vecs, d.starts, d.roots_of, d.js_of, d.srcs_of, d.root_vecs)
+        got = _kernels.hc_coeffs(*args, kw, lam, rho)
+        ref = _hc_coeffs_loop(d, kw, lam, rho)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_leading_coefficient(self):
         k = MultiplicityBC(1.0, 1, 0.5, 2)
         table = compute_coeffs(k, [2.55, 1.07], order=6)
@@ -76,6 +108,33 @@ class TestCoefficients:
         k = MultiplicityBC(1.0, 1, 0.5, 2)
         with pytest.raises(SmallDenominator):
             compute_coeffs(k, [3.0, 1.0], order=6)
+
+    def test_exact_resonance_rejected_before_dividing(self):
+        # the margin is checked before the recursion runs, so the zero
+        # denominator is never divided by
+        k = MultiplicityBC(1.0, 1, 0.5, 2)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(SmallDenominator):
+                compute_coeffs(k, [3.0, 1.0], order=20)
+
+    @pytest.mark.parametrize("km", [0, 1])
+    def test_height_one_closed_form(self, km):
+        # mu = alpha simple has the single source 0 (j = 1), so
+        # Gamma_alpha = -2 k_alpha (alpha, lambda - rho) / ((alpha, alpha) - 2 (lambda, alpha))
+        # in Euclidean coordinates
+        k = MultiplicityBC(1.3, km, 0.7, 3)
+        lam = np.array([4.15 + 0.2j, 2.55, 1.07])
+        table = compute_coeffs(k, lam, order=20)
+        lam_e, rho_e = lam / 2.0, rho(k) / 2.0
+        simple = [(np.array([1.0, -1.0, 0.0]), k.k_m),
+                  (np.array([0.0, 1.0, -1.0]), k.k_m),
+                  (np.array([0.0, 0.0, 1.0]), k.k_s)]
+        for i, (alpha, k_alpha) in enumerate(simple):
+            expected = -2.0 * k_alpha * (alpha @ (lam_e - rho_e)) / (
+                alpha @ alpha - 2.0 * (alpha @ lam_e))
+            got = table.coeff(np.eye(3, dtype=int)[i])
+            assert abs(got - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
 class TestSeriesEval:
