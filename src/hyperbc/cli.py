@@ -6,7 +6,7 @@ Exit codes: 0 success (and all checks passed), 2 argument parse error,
 3 precondition rejection, 4 numerical failure."""
 
 import argparse
-import io
+import itertools
 import json
 import re
 import sys
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, PreconditionError
 from .hyper import EvalRequest, evaluate
-from .rootsystem import ChamberPoint, MultiplicityBC
+from .rootsystem import MultiplicityBC, canonical_points
 from .verify import SUITE_NAMES, run_suite
 
 _CLI_TARGETS = ("F", "Phi", "FTheta", "BesselBC")
@@ -160,12 +160,23 @@ def _json_record(args, t, lam, result) -> dict:
     }
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks) -> None:
+    """Write the strings of chunks, in order, to --output or stdout."""
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _json_list(records):
+    """The chunks of json.dumps(list(records), indent=2) + "\n", one
+    record at a time; records must not be empty."""
+    sep = "[\n  "
+    for rec in records:
+        yield sep + json.dumps(rec, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n]\n"
 
 
 def _validate(args) -> MultiplicityBC:
@@ -180,9 +191,10 @@ def _validate(args) -> MultiplicityBC:
 
 def _canonical_t(args, t: np.ndarray) -> np.ndarray:
     """F and BesselBC are invariant under signed permutations of t, so raw
-    inputs are moved into the canonical chamber; Phi and FTheta are not."""
+    points (one, or a stack) are moved into the canonical chamber; Phi and
+    FTheta are not."""
     if args.target in ("F", "BesselBC"):
-        return ChamberPoint(t).t
+        return canonical_points(t)
     return t
 
 
@@ -195,41 +207,32 @@ def _run_eval(args) -> int:
     req = EvalRequest(k=k, lam=lam, t=t, target=_TARGET_MAP[args.target])
     result = evaluate(req)
     if args.format == "json":
-        _emit(args, json.dumps(_json_record(args, t, lam, result), indent=2) + "\n")
+        _emit(args, [json.dumps(_json_record(args, t, lam, result), indent=2) + "\n"])
     else:
-        _emit(args, _csv_header(args.n) + "\n" + _csv_row(t, lam, result) + "\n")
+        _emit(args, [_csv_header(args.n) + "\n", _csv_row(t, lam, result) + "\n"])
     return 0
 
 
 def _run_grid(args) -> int:
+    """One evaluation of the whole row-major grid; the output is written
+    only once every point has a value, so a failed grid writes nothing."""
     k = _validate(args)
     if len(args.t) != args.n:
         raise ParameterError(f"--t has {len(args.t)} axes, --n is {args.n}")
     lam = np.array(args.lam, dtype=complex)
-    points = [
-        _canonical_t(args, np.array(idx, dtype=float))
-        for idx in _row_major(args.t)
-    ]
-    buf = io.StringIO()
+    ts = _canonical_t(args, np.array(list(itertools.product(*args.t)), dtype=float))
+    req = EvalRequest(k=k, lam=lam, t=ts, target=_TARGET_MAP[args.target])
+    results = evaluate(req)
     if args.format == "json":
-        records = []
-        for t in points:
-            req = EvalRequest(k=k, lam=lam, t=t, target=_TARGET_MAP[args.target])
-            records.append(_json_record(args, t, lam, evaluate(req)))
-        buf.write(json.dumps(records, indent=2) + "\n")
+        _emit(args, _json_list(
+            _json_record(args, t, lam, r) for t, r in zip(ts, results)
+        ))
     else:
-        buf.write(_csv_header(args.n) + "\n")
-        for t in points:
-            req = EvalRequest(k=k, lam=lam, t=t, target=_TARGET_MAP[args.target])
-            buf.write(_csv_row(t, lam, evaluate(req)) + "\n")
-    _emit(args, buf.getvalue())
+        _emit(args, itertools.chain(
+            [_csv_header(args.n) + "\n"],
+            (_csv_row(t, lam, r) + "\n" for t, r in zip(ts, results)),
+        ))
     return 0
-
-
-def _row_major(axes):
-    from itertools import product
-
-    return product(*axes)
 
 
 def _run_verify(args) -> int:
@@ -245,16 +248,13 @@ def _run_verify(args) -> int:
             }
             for r in records
         ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, [json.dumps(payload, indent=2) + "\n"])
     else:
-        buf = io.StringIO()
-        buf.write("suite,name,error,tolerance,passed\n")
-        for r in records:
-            buf.write(
-                f"{r.suite},\"{r.name}\",{_fmt(r.error)},{_fmt(r.tolerance)},"
-                f"{'pass' if r.passed else 'FAIL'}\n"
-            )
-        _emit(args, buf.getvalue())
+        _emit(args, itertools.chain(
+            ["suite,name,error,tolerance,passed\n"],
+            (f"{r.suite},\"{r.name}\",{_fmt(r.error)},{_fmt(r.tolerance)},"
+             f"{'pass' if r.passed else 'FAIL'}\n" for r in records),
+        ))
     return 0 if all(r.passed for r in records) else 4
 
 

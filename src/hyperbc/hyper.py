@@ -1,9 +1,17 @@
 """Closed-form evaluators: the product form of the Harish-Chandra series,
 the BC_n hypergeometric function F via determinant (k_m = 1) or permanent
 (k_m = 0), the partial Weyl-sum spherical function over the A_{n-1}
-subsystem, and the rational (Bessel) limit."""
+subsystem, and the rational (Bessel) limit.
+
+Every evaluator takes one point t, shaped (n,), and returns its result,
+or a stack of points, shaped (N, n), and returns a list of N results.  A
+stack shares its work: each rank-one value f(lambda_i, x) is computed
+once per distinct coordinate x of the stack, every point's n x n matrix
+is gathered from that table, and the checks that depend on lambda alone
+run once."""
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +54,8 @@ TARGETS = ("F", "PhiSeries", "FTheta", "BesselBC")
 
 @dataclass(frozen=True)
 class EvalRequest:
+    """t is one point (n,) or a stack of points (N, n)."""
+
     k: MultiplicityBC
     lam: np.ndarray
     t: np.ndarray
@@ -71,6 +81,38 @@ def _as_t(t) -> np.ndarray:
     return np.asarray(getattr(t, "t", t), dtype=float)
 
 
+def _stacked(fn):
+    """Let an evaluator written for an (N, n) stack of points, returning a
+    list, also take one point t, shaped (n,), and return its one result."""
+
+    @functools.wraps(fn)
+    def evaluator(k, lam, t, *args, **kwargs):
+        t = _as_t(t)
+        out = fn(k, _as_lam(lam), np.atleast_2d(t), *args, **kwargs)
+        return out[0] if t.ndim == 1 else out
+
+    return evaluator
+
+
+def _table(fn, lam, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fn(lambda_i, u_q) over lam and the sorted distinct values u of x: the
+    (len(lam), len(u)) table, and the index into u of every entry of x,
+    shaped like x.  The same u and index as np.unique(x, return_inverse=True),
+    which takes about 20 us even on a single point, a tenth of the cheapest
+    evaluations."""
+    vals = x.ravel().tolist()
+    index = {v: q for q, v in enumerate(sorted(set(vals)))}
+    u = np.fromiter(index, dtype=float, count=len(index))
+    inv = np.fromiter((index[v] for v in vals), dtype=np.intp, count=len(vals))
+    table = np.array([[fn(li, uq) for uq in u] for li in lam], dtype=complex)
+    return table, inv.reshape(x.shape)
+
+
+def _gather(table: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The (N, n, n) stack of matrices m[p, i, j] = table[i, inv[p, j]]."""
+    return np.ascontiguousarray(table[:, inv].transpose(1, 0, 2))
+
+
 def _pi(x: np.ndarray) -> complex:
     """prod_{i<j} (x_i - x_j)."""
     v = 1.0 + 0.0j
@@ -90,6 +132,11 @@ def _degenerate_pairs(lam: np.ndarray, tol: float = DEGENERACY_TOL):
         for j in range(i + 1, len(lam))
         if abs(x[i] - x[j]) <= tol * scale
     ]
+
+
+def _require_bessel_domain(lam: np.ndarray, ts: np.ndarray) -> None:
+    if np.any(lam == 0.0) or np.any(ts == 0.0):
+        raise DomainError("lambda_j != 0 and t_j != 0 required")
 
 
 def _cond(mat: np.ndarray, result: complex) -> float:
@@ -113,29 +160,34 @@ def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
     return EvalResult(complex(value), _cond(mat, red), False)
 
 
-def phi_product(k: MultiplicityBC, lam, t) -> complex:
+@_stacked
+def phi_product(k: MultiplicityBC, lam, ts) -> list[complex]:
     """Delta_m(a_t)^(-k_m) prod_j Phi^(alpha,beta)_{-i lambda_j}(t_j), the
     product form of the Harish-Chandra series for k_m in {0, 1}."""
-    lam, t = _as_lam(lam), _as_t(t)
-    require_chamber(t)
+    require_chamber(ts)
     check_genericity(root_data(k.n, GENERICITY_ORDER), lam / 2.0, DegenerateLambda)
     jp = k.jacobi
-    val = 1.0 + 0.0j
+    # coordinate j meets lambda_j only: one table per column of the stack
+    cols = []
     for j in range(k.n):
-        val *= jacobi_phi_asymptotic(jp, lam[j], t[j])
-    if k.k_m == 1:
-        val /= delta_m(t)
-    return val
+        table, inv = _table(
+            lambda li, x: jacobi_phi_asymptotic(jp, li, x), lam[j:j + 1], ts[:, j]
+        )
+        cols.append(table[0, inv].tolist())
+    out = []
+    for p, t in enumerate(ts):
+        val = 1.0 + 0.0j
+        for col in cols:
+            val *= col[p]
+        if k.k_m == 1:
+            val /= delta_m(t)
+        out.append(val)
+    return out
 
 
-def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     jp = k.jacobi
-    n = k.n
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = jacobi_phi(jp, lam[i], t[j])
-    return m
+    return _gather(*_table(lambda li, x: jacobi_phi(jp, li, x), lam, ts))
 
 
 def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalResult:
@@ -191,7 +243,8 @@ def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalRes
     )
 
 
-def f_determinant(k: MultiplicityBC, lam, t) -> EvalResult:
+@_stacked
+def f_determinant(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """F(lambda, k; a_t) for k_m = 1:
     B det(phi_{i lambda_i}(t_j)) / [prod_{i<j}(lambda_i^2 - lambda_j^2)
     Delta_m(a_t)].  Near the origin (sinh^2 t_1 < SMALL_T_SINH2) the ratio
@@ -199,86 +252,88 @@ def f_determinant(k: MultiplicityBC, lam, t) -> EvalResult:
     accurate as the denominator degenerates."""
     if k.k_m != 1:
         raise ParameterError("determinant formula requires k_m = 1")
-    lam, t = _as_lam(lam), _as_t(t)
-    require_chamber(t)
+    require_chamber(ts)
     if _degenerate_pairs(lam):
         raise DegenerateLambda(
             "coinciding lambda_i^2; use evaluate() for the confluent path"
         )
-    if math.sinh(t[0]) ** 2 < SMALL_T_SINH2:
-        return _f_det_divided(k, lam, t)
-    mat = _phi_matrix(k, lam, t)
-    return _reduce(mat, 1, constant_B(k), _pi(lam**2) * delta_m(t))
+    near = [math.sinh(t1) ** 2 < SMALL_T_SINH2 for t1 in ts[:, 0].tolist()]
+    far = ts[np.logical_not(near)] if any(near) else ts
+    mats = iter(_phi_matrix(k, lam, far) if len(far) else ())
+    num, vdm = constant_B(k), _pi(lam**2)
+    return [
+        _f_det_divided(k, lam, t) if s else _reduce(next(mats), 1, num, vdm * delta_m(t))
+        for t, s in zip(ts, near)
+    ]
 
 
-def f_permanent(k: MultiplicityBC, lam, t) -> EvalResult:
+@_stacked
+def f_permanent(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """F(lambda, k; a_t) for k_m = 0:
     (1/n!) perm(phi_{i lambda_i}(t_j))."""
     if k.k_m != 0:
         raise ParameterError("permanent formula requires k_m = 0")
-    lam, t = _as_lam(lam), _as_t(t)
-    return _reduce(_phi_matrix(k, lam, t), 0)
+    return [_reduce(mat, 0) for mat in _phi_matrix(k, lam, ts)]
 
 
-def f_theta(k: MultiplicityBC, lam, t, theta: RootSubset = THETA_AN1) -> EvalResult:
+@_stacked
+def f_theta(k: MultiplicityBC, lam, ts,
+            theta: RootSubset = THETA_AN1) -> list[EvalResult]:
     """Partial spherical function over the A_{n-1} simple-root subset:
     pi(rho)/pi(lambda) det(Phi_{-i lambda_i}(t_j))/Delta_m for k_m = 1,
     (1/n!) perm(Phi_{-i lambda_i}(t_j)) for k_m = 0."""
     if theta != THETA_AN1:
         raise ParameterError("only the A_{n-1} subset is supported")
-    lam, t = _as_lam(lam), _as_t(t)
     if np.any(lam.real <= 0.0):
         raise HalfPlaneError(f"Re lambda_i > 0 required, got {lam}")
-    jp = k.jacobi
     n = k.n
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = jacobi_phi_asymptotic(jp, lam[i], t[j])
+    if k.k_m == 1:
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(lam[i] - lam[j]) <= DEGENERACY_TOL * scale:
+                    raise DegenerateLambda(f"lambda_{i+1} = lambda_{j+1}")
+    jp = k.jacobi
+    mats = _gather(*_table(lambda li, x: jacobi_phi_asymptotic(jp, li, x), lam, ts))
     if k.k_m == 0:
-        return _reduce(mat, 0)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam[i] - lam[j]) <= DEGENERACY_TOL * scale:
-                raise DegenerateLambda(f"lambda_{i+1} = lambda_{j+1}")
-    return _reduce(mat, 1, _pi(rho(k)) / _pi(lam), delta_m(t))
+        return [_reduce(mat, 0) for mat in mats]
+    num = _pi(rho(k)) / _pi(lam)
+    return [_reduce(mat, 1, num, delta_m(t)) for mat, t in zip(mats, ts)]
 
 
-def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
     alpha = k.alpha
     if abs(alpha.imag) > 0.0:
         raise ParameterError("Bessel limit implemented for real alpha only")
-    n = k.n
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = bessel_j_normalized(alpha.real, 1j * lam[i] * t[j])
-    return m
+    a = alpha.real
+    return _gather(*_table(lambda li, x: bessel_j_normalized(a, 1j * li * x), lam, ts))
 
 
-def bessel_bcn(k: MultiplicityBC, lam, t) -> EvalResult:
+@_stacked
+def bessel_bcn(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """Bessel function of type BC_n, the limit of F(eps^-1 lambda, k; a_{eps t}):
     A det(J_alpha(i lambda_i t_j)) / [prod(lambda_i^2 - lambda_j^2)
     Delta_m,rat(a_t)] for k_m = 1, (1/n!) perm(J_alpha(i lambda_i t_j))
     for k_m = 0."""
-    lam, t = _as_lam(lam), _as_t(t)
-    if np.any(lam == 0.0) or np.any(t == 0.0):
-        raise DomainError("lambda_j != 0 and t_j != 0 required")
-    mat = _bessel_matrix(k, lam, t)
-    if k.k_m == 0:
-        return _reduce(mat, 0)
-    if _degenerate_pairs(lam):
+    _require_bessel_domain(lam, ts)
+    if k.k_m == 1 and _degenerate_pairs(lam):
         raise DegenerateLambda(
             "coinciding lambda_i^2; use evaluate() for the confluent path"
         )
-    return _reduce(mat, 1, constant_B(k), _pi(lam**2) * delta_m_rational(t))
+    mats = _bessel_matrix(k, lam, ts)
+    if k.k_m == 0:
+        return [_reduce(mat, 0) for mat in mats]
+    num, vdm = constant_B(k), _pi(lam**2)
+    return [_reduce(mat, 1, num, vdm * delta_m_rational(t)) for mat, t in zip(mats, ts)]
 
 
-def _confluent_det_ratio(row_fn, lam: np.ndarray) -> tuple[complex, np.ndarray]:
+def _confluent_det_ratio(fn, lam: np.ndarray,
+                         ts: np.ndarray) -> list[tuple[complex, np.ndarray]]:
     """det(f(x_i))/prod_{i<j}(x_i - x_j) in the variables x_i = lambda_i^2,
     with the unique coinciding pair replaced by a divided-difference row
-    (first-order confluence).  row_fn(lam_scalar) gives the matrix row."""
+    (first-order confluence), for every point of the stack ts.
+    fn(lam_scalar, t_scalar) gives one matrix entry; the rows are gathered
+    from one table of fn over the distinct values of ts."""
     pairs = _degenerate_pairs(lam)
     if len(pairs) != 1:
         raise DegenerateLambda(
@@ -289,18 +344,13 @@ def _confluent_det_ratio(row_fn, lam: np.ndarray) -> tuple[complex, np.ndarray]:
     xbar = 0.5 * (x[i] + x[j])
     scale = max(1.0, float(np.max(np.abs(lam))))
     h = CONFLUENT_STEP * scale
-    lam_mid = cmath.sqrt(xbar)
-    lam_plus = cmath.sqrt(xbar + h)
-    lam_minus = cmath.sqrt(xbar - h)
     n = len(lam)
-    mat = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        if r == i:
-            mat[r] = row_fn(lam_mid)
-        elif r == j:
-            mat[r] = (row_fn(lam_plus) - row_fn(lam_minus)) / (2.0 * h)
-        else:
-            mat[r] = row_fn(lam[r])
+    # row i at xbar; row j the central difference at xbar, from the extra
+    # row n
+    lams = [cmath.sqrt(xbar) if r == i else lam[r] for r in range(n)]
+    lams[j] = cmath.sqrt(xbar + h)
+    table, inv = _table(fn, lams + [cmath.sqrt(xbar - h)], ts)
+    table[j] = (table[j] - table[n]) / (2.0 * h)
     xeff = x.copy()
     xeff[i] = xeff[j] = xbar
     prod_rest = 1.0 + 0.0j
@@ -309,53 +359,58 @@ def _confluent_det_ratio(row_fn, lam: np.ndarray) -> tuple[complex, np.ndarray]:
             if (a, b) == (i, j):
                 continue
             prod_rest *= xeff[a] - xeff[b]
-    det = complex(np.linalg.det(mat))
     # row_j -> f'(xbar) carries a 1/(x_j - x_i) relative to the vanishing
     # Vandermonde factor (x_i - x_j); the leftover sign is -1
-    return -det / prod_rest, mat
+    return [(-complex(np.linalg.det(mat)) / prod_rest, mat)
+            for mat in _gather(table[:n], inv)]
 
 
-def evaluate(req: EvalRequest) -> EvalResult:
+def _confluent(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
+               target: str) -> list[EvalResult]:
+    """F or BesselBC at k_m = 1 with one coinciding pair
+    lambda_i^2 = lambda_j^2: det / prod(lambda_i^2 - lambda_j^2) through
+    the confluent divided-difference determinant."""
+    if target == "F":
+        require_chamber(ts)
+        jp = k.jacobi
+
+        def fn(li, x):
+            return jacobi_phi(jp, li, x)
+
+        denoms = [delta_m(t) for t in ts]
+    else:
+        _require_bessel_domain(lam, ts)
+        alpha = k.alpha.real
+
+        def fn(li, x):
+            return bessel_j_normalized(alpha, 1j * li * x)
+
+        denoms = [delta_m_rational(t) for t in ts]
+    num = constant_B(k)
+    return [
+        EvalResult(complex(num * ratio / denom),
+                   _cond(mat, complex(np.linalg.det(mat))), True)
+        for (ratio, mat), denom in zip(_confluent_det_ratio(fn, lam, ts), denoms)
+    ]
+
+
+def evaluate(req: EvalRequest):
     """Dispatch on target and k_m; for k_m = 1 determinant targets with a
     single coinciding pair lambda_i^2 = lambda_j^2 the ratio
     det / prod(lambda_i^2 - lambda_j^2) is replaced by a confluent
-    divided-difference determinant."""
+    divided-difference determinant.  One EvalResult for one point, a
+    list of them for a stack."""
     k = req.k
     lam, t = _as_lam(req.lam), _as_t(req.t)
+    ts = np.atleast_2d(t)
     if req.target == "PhiSeries":
-        return EvalResult(phi_product(k, lam, t), 1.0, False)
-    if req.target == "FTheta":
-        return f_theta(k, lam, t)
-    if req.target == "F" and k.k_m == 0:
-        return f_permanent(k, lam, t)
-    if req.target == "BesselBC" and k.k_m == 0:
-        return bessel_bcn(k, lam, t)
-
-    # determinant targets
-    if not _degenerate_pairs(lam):
-        if req.target == "F":
-            return f_determinant(k, lam, t)
-        return bessel_bcn(k, lam, t)
-
-    if req.target == "F":
-        require_chamber(t)
-        jp = k.jacobi
-
-        def row_fn(lam_scalar):
-            return np.array([jacobi_phi(jp, lam_scalar, tj) for tj in t])
-
-        denom = delta_m(t)
+        out = [EvalResult(v, 1.0, False) for v in phi_product(k, lam, ts)]
+    elif req.target == "FTheta":
+        out = f_theta(k, lam, ts)
+    elif k.k_m == 0:
+        out = (f_permanent if req.target == "F" else bessel_bcn)(k, lam, ts)
+    elif not _degenerate_pairs(lam):
+        out = (f_determinant if req.target == "F" else bessel_bcn)(k, lam, ts)
     else:
-        if np.any(lam == 0.0) or np.any(t == 0.0):
-            raise DomainError("lambda_j != 0 and t_j != 0 required")
-        alpha = k.alpha.real
-
-        def row_fn(lam_scalar):
-            return np.array(
-                [bessel_j_normalized(alpha, 1j * lam_scalar * tj) for tj in t]
-            )
-
-        denom = delta_m_rational(t)
-    ratio, mat = _confluent_det_ratio(row_fn, lam)
-    value = constant_B(k) * ratio / denom
-    return EvalResult(complex(value), _cond(mat, complex(np.linalg.det(mat))), True)
+        out = _confluent(k, lam, ts, req.target)
+    return out[0] if t.ndim == 1 else out

@@ -18,7 +18,10 @@ MAX_RANK = 8
 #: coincidences |lambda_i^2 - lambda_j^2| below this (times max(1, |lambda|^2))
 #: lose all significant digits in the determinant / Vandermonde ratio
 DEGENERACY_TOL = 1e-8
-POLE_TOL = 1e-10
+#: pole tolerance of the c-function factors and of constant_B; named apart
+#: from special.POLE_TOL, the scalar layer's 1e-12, so that neither value
+#: reads as the other
+C_POLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,7 @@ class ChamberPoint:
         t = np.asarray(t, dtype=float)
         if t.ndim != 1:
             raise ParameterError("chamber point must be a vector")
-        a = np.abs(t)
-        if canonicalize and np.all(a > 0.0) and len(set(a.tolist())) == len(a):
-            t = np.sort(a)[::-1]
-        self.t = t
+        self.t = canonical_points(t) if canonicalize else t
 
     @property
     def n(self) -> int:
@@ -137,14 +137,32 @@ class ChamberPoint:
         return in_open_chamber(self.t)
 
 
+def canonical_points(t: np.ndarray) -> np.ndarray:
+    """Move one point (n,), or every point of a stack (N, n), with distinct
+    nonzero |t_j| into the canonical chamber by the Weyl action; any other
+    point keeps its coordinates.  The result is a reversed view of an
+    ascending sort, the layout np.sort(a)[::-1] has: numpy's vectorised
+    sinh can differ in the last bit between contiguous and strided input,
+    and the divided-difference path of F takes np.sinh of the point."""
+    ts = np.atleast_2d(t)
+    srt = np.sort(np.abs(ts), axis=1)
+    ok = (srt[:, 0] > 0.0) & np.all(np.diff(srt, axis=1) != 0.0, axis=1)
+    return np.where(ok[:, None], srt, ts[:, ::-1])[:, ::-1].reshape(t.shape)
+
+
 def in_open_chamber(t: np.ndarray) -> bool:
-    """t_1 > ... > t_n > 0."""
-    return bool(np.all(np.diff(t) < 0.0) and t[-1] > 0.0)
+    """t_1 > ... > t_n > 0, for one point (n,) or every point of a stack
+    (N, n)."""
+    t = np.atleast_2d(t)
+    return bool((t[:, :-1] > t[:, 1:]).all() and (t[:, -1] > 0.0).all())
 
 
 def require_chamber(t: np.ndarray) -> None:
+    """Refuse one point, or a stack naming its first point, outside the
+    open chamber."""
     if not in_open_chamber(t):
-        raise ChamberError(f"t = {t} not in the open chamber")
+        bad = next(p for p in np.atleast_2d(t) if not in_open_chamber(p))
+        raise ChamberError(f"t = {bad} not in the open chamber")
 
 
 def rho(k) -> np.ndarray:
@@ -228,11 +246,12 @@ def _c_shortlong(k: MultiplicityBC, x: complex) -> complex:
     and this form is the one the determinant normalization constant is
     stated against."""
     ks, kl = complex(k.k_s), complex(k.k_l)
-    if _near_nonpositive_int(x, POLE_TOL):
+    if _near_nonpositive_int(x, C_POLE_TOL):
         raise PoleError(f"c-function pole: Gamma({x}) in the numerator")
     d1 = 0.5 * (x + ks + 1.0)
     d2 = 0.5 * (x + ks) + kl
-    if _near_nonpositive_int(d1, POLE_TOL) or _near_nonpositive_int(d2, POLE_TOL):
+    if (_near_nonpositive_int(d1, C_POLE_TOL)
+            or _near_nonpositive_int(d2, C_POLE_TOL)):
         return 0.0 + 0.0j
     s = (-x - ks + 1.0) * math.log(2.0) + log_gamma(x) - log_gamma(d1) - log_gamma(d2)
     return cmath.exp(s)
@@ -251,12 +270,12 @@ def c_tilde(k: MultiplicityBC, lam, subset: RootSubset = FULL) -> complex:
         for i, j in pairs:
             if a_type_only:
                 d = lam[i] - lam[j]
-                if abs(d) <= POLE_TOL * math.sqrt(scale):
+                if abs(d) <= C_POLE_TOL * math.sqrt(scale):
                     raise PoleError(f"middle c-factor pole at lambda_{i}=lambda_{j}")
                 val *= 2.0 / d
             else:
                 d = lam[i] ** 2 - lam[j] ** 2
-                if abs(d) <= POLE_TOL * scale:
+                if abs(d) <= C_POLE_TOL * scale:
                     raise PoleError(
                         f"middle c-factor pole at lambda_{i}^2 = lambda_{j}^2"
                     )
@@ -324,7 +343,7 @@ def constant_B(k: MultiplicityBC) -> complex:
     the printed sign factor (-1)^(n(n-1)/2) corresponds to the reversed
     Vandermonde ordering."""
     a = complex(k.alpha)
-    if _near_nonpositive_int(a + 1.0) or abs(a) <= POLE_TOL:
+    if _near_nonpositive_int(a + 1.0) or abs(a) <= C_POLE_TOL:
         raise ParameterError(f"alpha = {a} in the excluded set 0, -1, -2, ...")
     n = k.n
     val = complex(2.0 ** (2 * n * (n - 1)))

@@ -168,6 +168,104 @@ class TestGrid:
         assert code == 2
 
 
+def _grid_rows(capsys, argv):
+    code, out, _ = run(capsys, ["grid"] + argv)
+    assert code == 0
+    return out.strip().split("\n")[1:]
+
+
+class TestGridValues:
+    """Every grid row is the eval row at its t, bit for bit: the grid's
+    shared rank-one table holds the same values each point would compute
+    alone."""
+
+    CASES = {
+        # rows with t_1 below about 0.65 take the divided-difference path
+        "F-km1": ["--target", "F", "--n", "2", "--k", "1,1,0.5",
+                  "--lambda", "2.55,1.07", "--t", "0.1:1.3:4,0.05:0.6:4"],
+        "F-km1-n3": ["--target", "F", "--n", "3", "--k", "1.1,1,0.45",
+                     "--lambda", "5.1,3.6,2.1",
+                     "--t", "0.1:2.0:3,0.15:2.05:3,0.2:2.1:3"],
+        "F-km0": ["--target", "F", "--n", "2", "--k", "1,0,0.5",
+                  "--lambda", "2.55+0.3i,1.07", "--t", "0.1:1.3:4,0.05:0.6:4"],
+        "BesselBC-km1": ["--target", "BesselBC", "--n", "2", "--k", "1,1,0.5",
+                         "--lambda", "2.55,1.07", "--t", "0.1:1.3:4,0.05:0.6:4"],
+        "BesselBC-km0": ["--target", "BesselBC", "--n", "2", "--k", "1,0,0.5",
+                         "--lambda", "2.55,1.07", "--t", "0.1:1.3:4,0.05:0.6:4"],
+        "FTheta": ["--target", "FTheta", "--n", "2", "--k", "1,1,0.5",
+                   "--lambda", "2.55,1.07", "--t", "1.3:2.5:3,0.4:1.1:3"],
+        "Phi": ["--target", "Phi", "--n", "2", "--k", "1,1,0.5",
+                "--lambda", "2.55,1.07", "--t", "1.3:2.5:3,0.4:1.1:3"],
+        "confluent": ["--target", "F", "--n", "2", "--k", "1,1,0.5",
+                      "--lambda", "2.0,2.0", "--t", "0.3:1.5:3,0.1:0.25:3"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_eval(self, capsys, case):
+        argv = self.CASES[case]
+        n = int(argv[argv.index("--n") + 1])
+        rows = _grid_rows(capsys, argv)
+        assert len(rows) > 1
+        i = argv.index("--t")
+        for row in rows:
+            t = ",".join(row.split(",")[:n])
+            code, out, _ = run(capsys, ["eval"] + argv[:i + 1] + [t] + argv[i + 2:])
+            assert code == 0
+            assert out.strip().split("\n")[1] == row
+
+    def test_divided_path_rows_present(self, capsys):
+        rows = _grid_rows(capsys, self.CASES["F-km1"])
+        assert any(float(r.split(",")[0]) < 0.65 for r in rows)
+        assert any(float(r.split(",")[0]) > 0.65 for r in rows)
+
+    @pytest.mark.parametrize("km", [0, 1])
+    def test_rank_one_values_once_per_axis_value(self, capsys, monkeypatch, km):
+        # a 10^3 grid whose three axes hold 30 distinct values: 3 lambda_i
+        # times 30 values, not 9 entries per point
+        import hyperbc.hyper as hyper
+
+        jacobi_phi, calls = hyper.jacobi_phi, []
+
+        def counting(*args):
+            calls.append(args)
+            return jacobi_phi(*args)
+
+        monkeypatch.setattr(hyper, "jacobi_phi", counting)
+        rows = _grid_rows(capsys, [
+            "--target", "F", "--n", "3", "--k", f"1,{km},0.5",
+            "--lambda", "5.1,3.6,2.1",
+            "--t", "0.1:2.4:10,0.13:2.43:10,0.16:2.46:10",
+        ])
+        assert len(rows) == 1000
+        assert len(calls) == 90
+
+
+class TestGridFailures:
+    """A grid that fails writes no output file."""
+
+    ARGS = ["grid", "--target", "F", "--n", "2", "--k", "1,1,0.5",
+            "--lambda", "2.55,1.07"]
+
+    def _run(self, capsys, tmp_path, axes):
+        dest = tmp_path / "out.csv"
+        code, _, err = run(capsys, self.ARGS + ["--t", axes, "--output", str(dest)])
+        return code, err, dest.exists()
+
+    def test_wall_rejected(self, capsys, tmp_path):
+        code, err, written = self._run(capsys, tmp_path, "0.5:1.0:3,0.5:1.0:3")
+        assert (code, written) == (3, False) and "rejected" in err
+
+    def test_deep_t_fails(self, capsys, tmp_path):
+        code, err, written = self._run(capsys, tmp_path, "0.5:7.0:3,0.2:0.4:3")
+        assert (code, written) == (4, False) and "numerical failure" in err
+
+    def test_first_bad_row_decides(self, capsys, tmp_path):
+        # row 1, (0.5, 0.5), is on a wall; a later row, (7.0, 0.5), would
+        # not converge
+        code, _, written = self._run(capsys, tmp_path, "0.5:7.0:3,0.5:7.0:3")
+        assert (code, written) == (3, False)
+
+
 class TestVerify:
     def test_suite_passes_csv(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "rank1-reduction"])

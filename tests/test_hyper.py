@@ -195,3 +195,41 @@ class TestEvaluate:
     def test_condition_estimate_positive(self):
         req = EvalRequest(k=K1, lam=LAM2, t=T2, target="F")
         assert evaluate(req).condition_estimate >= 1.0
+
+
+class TestStacks:
+    """An (N, n) stack of points gives, point by point, what each point
+    gives alone."""
+
+    STACK = np.array([[1.0, 0.4], [1.3, 0.4], [1.3, 0.9], [0.5, 0.2]])
+
+    def test_table_index_matches_numpy_unique(self):
+        from hyperbc.hyper import _table
+
+        x = np.round(np.random.default_rng(0).uniform(0.0, 1.0, (200, 3)) * 20) / 20
+        table, inv = _table(lambda li, u: li * u, [1.0, -2.0], x)
+        u, ref_inv = np.unique(x, return_inverse=True)
+        assert np.array_equal(inv, ref_inv.reshape(x.shape))
+        assert np.array_equal(table, np.array([u, -2.0 * u]))
+
+    @pytest.mark.parametrize("target,km,lam", [
+        ("F", 1, [2.55, 1.07]),
+        ("F", 0, [2.55 + 0.3j, 1.07]),
+        ("F", 1, [2.0, 2.0]),
+        ("BesselBC", 1, [2.55, 1.07]),
+        ("BesselBC", 0, [2.55, 1.07]),
+        ("FTheta", 1, [2.55, 1.07]),
+        ("PhiSeries", 0, [2.55, 1.07]),
+    ])
+    def test_stack_equals_single_points(self, target, km, lam):
+        k = MultiplicityBC(k_s=1.0, k_m=km, k_l=0.5, n=2)
+        lam = np.array(lam, dtype=complex)
+        got = evaluate(EvalRequest(k=k, lam=lam, t=self.STACK, target=target))
+        assert isinstance(got, list) and len(got) == len(self.STACK)
+        for t, res in zip(self.STACK, got):
+            one = evaluate(EvalRequest(k=k, lam=lam, t=t.copy(), target=target))
+            assert res == one
+
+    def test_stack_names_first_point_outside_chamber(self):
+        with pytest.raises(ChamberError, match=r"\[0\.4 1\. \]"):
+            f_determinant(K1, LAM2, np.array([[1.0, 0.4], [0.4, 1.0], [0.3, 0.3]]))
