@@ -39,10 +39,16 @@ def log_gamma(z):
 
     The branch agrees with the principal one up to multiples of 2*pi*i
     in the reflected half-plane; exp(log_gamma(z)) is always Gamma(z).
+    sin(pi z) is taken as (-1)^m sin(pi (z - m)) with m = round(Re z):
+    sin(pi z) itself loses about |z| ulps next to a pole.
     """
     if z.real >= 0.5:
         return log_gamma_right(z)
-    return _LOG_PI - cmath.log(cmath.sin(math.pi * z)) - log_gamma_right(1.0 - z)
+    m = round(z.real)
+    sin_pz = cmath.sin(math.pi * (z - m))
+    if m % 2:
+        sin_pz = -sin_pz
+    return _LOG_PI - cmath.log(sin_pz) - log_gamma_right(1.0 - z)
 
 
 def hyp2f1_series(a, b, c, w, maxterms):
@@ -118,13 +124,13 @@ def ryser_permanent(a):
     return total
 
 
-def hc_coeffs(mu_vecs, starts, roots_of, js_of, srcs_of, root_vecs, kw, lam, rho):
+def hc_coeffs(mu_vecs, starts, roots_of, srcs_of, root_vecs, kw, lam, rho):
     """Harish-Chandra series coefficients by the height recursion.
 
     mu_vecs: integer lattice points as float vectors, sorted by height,
-    index 0 is the origin.  (starts, roots_of, js_of, srcs_of) flatten,
-    per point p, the contributing triples (root, j, index of mu - j*root);
-    j is implied by the source index and not read here.  lam and rho are
+    index 0 is the origin.  (starts, roots_of, srcs_of) flatten, per point
+    p, the contributing pairs (root, index of mu - j*root), j >= 1; the
+    weight needs j only through the source mu - j*root.  lam and rho are
     in Euclidean coordinates.  Every point of height h depends only on
     lower heights, so each shell is one gather and one segment sum.  The
     caller has checked the denominators (mu,mu) - 2(lambda,mu) for

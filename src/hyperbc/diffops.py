@@ -19,6 +19,9 @@ BLOWUP_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class StencilConfig:
+    """Step and Richardson extrapolation of the central-difference
+    stencils; scheme is their order, and only 2 is implemented."""
+
     h: float = 1e-4
     richardson: bool = True
     scheme: int = 2
@@ -26,28 +29,16 @@ class StencilConfig:
     def __post_init__(self):
         if not self.h > 0.0 or self.h < 1e-6:
             raise ParameterError(f"step h = {self.h} below the cancellation floor")
-        if self.scheme not in (2, 4):
-            raise ParameterError(f"scheme must be 2 or 4, got {self.scheme}")
+        if self.scheme != 2:
+            raise ParameterError(f"scheme must be 2, got {self.scheme}")
 
 
-def _dir_d1(f, t, d, h, scheme):
-    if scheme == 2:
-        return (f(t + h * d) - f(t - h * d)) / (2.0 * h)
-    return (
-        8.0 * (f(t + h * d) - f(t - h * d)) - (f(t + 2 * h * d) - f(t - 2 * h * d))
-    ) / (12.0 * h)
+def _dir_d1(f, t, d, h):
+    return (f(t + h * d) - f(t - h * d)) / (2.0 * h)
 
 
-def _dir_d2(f, t, d, h, scheme, f0):
-    if scheme == 2:
-        return (f(t + h * d) - 2.0 * f0 + f(t - h * d)) / (h * h)
-    return (
-        -f(t + 2 * h * d)
-        + 16.0 * f(t + h * d)
-        - 30.0 * f0
-        + 16.0 * f(t - h * d)
-        - f(t - 2 * h * d)
-    ) / (12.0 * h * h)
+def _dir_d2(f, t, d, h, f0):
+    return (f(t + h * d) - 2.0 * f0 + f(t - h * d)) / (h * h)
 
 
 def _check_singularity(k: MultiplicityBC, t: np.ndarray, h: float) -> None:
@@ -74,53 +65,49 @@ def _coth_rational(x: float) -> float:
     return 1.0 / x
 
 
-def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, scheme: int,
-             coth, g0):
+def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, coth, g0):
     """Rank-one block L_j = d^2/dt_j^2 + 2(k_s coth t_j + 2 k_l coth 2t_j)
     d/dt_j applied by finite differences; g0 = g(t), and coth is _coth or
     its rational limit _coth_rational."""
     ks, kl = complex(k.k_s), complex(k.k_l)
     e = np.eye(len(t))[j]
-    d1 = _dir_d1(g, t, e, h, scheme)
-    d2 = _dir_d2(g, t, e, h, scheme, g0)
+    d1 = _dir_d1(g, t, e, h)
+    d2 = _dir_d2(g, t, e, h, g0)
     coef = 2.0 * (ks * coth(t[j]) + 2.0 * kl * coth(2.0 * t[j]))
     return d2 + coef * d1
 
 
-def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, scheme: int, coth):
+def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, coth):
     km = k.k_m
     n = len(t)
     f0 = f(t)
     eye = np.eye(n)
     total = 0.0 + 0.0j
     for j in range(n):
-        total += _Lj_once(k, j, f, t, h, scheme, coth, f0)
+        total += _Lj_once(k, j, f, t, h, coth, f0)
     if km != 0:
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (-1.0, 1.0):
                     d = eye[i] + s * eye[j]
-                    dd = _dir_d1(f, t, d, h, scheme)
+                    dd = _dir_d1(f, t, d, h)
                     total += 2.0 * km * coth(t[i] + s * t[j]) * dd
     return total
 
 
-def _richardson(apply_once, h, scheme, richardson):
+def _richardson(apply_once, h, richardson):
+    """Second-order Richardson extrapolation from steps h and h/2."""
     if not richardson:
         return apply_once(h)
-    p = 2.0**scheme
-    return (p * apply_once(h / 2.0) - apply_once(h)) / (p - 1.0)
+    return (4.0 * apply_once(h / 2.0) - apply_once(h)) / 3.0
 
 
 def apply_L(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig()):
     """Finite-difference value of (L(k) f)(t) in t-coordinates.  On the
     hypergeometric function the eigenvalue is sum_j (lambda_j^2 - rho_j^2)."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     _check_singularity(k, t, cfg.h)
-    return _richardson(
-        lambda h: _L_once(k, f, t, h, cfg.scheme, _coth), cfg.h, cfg.scheme,
-        cfg.richardson,
-    )
+    return _richardson(lambda h: _L_once(k, f, t, h, _coth), cfg.h, cfg.richardson)
 
 
 def apply_L_rational(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig()):
@@ -128,13 +115,10 @@ def apply_L_rational(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig
     middle-root terms with coth replaced by reciprocals.  The first-order
     numerator 2k_s+2k_l = 2 alpha + 1 is pinned by requiring the normalized
     Bessel function to be an exact eigenfunction with eigenvalue lambda^2."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     _check_singularity(k, t, cfg.h)
     return _richardson(
-        lambda h: _L_once(k, f, t, h, cfg.scheme, _coth_rational),
-        cfg.h,
-        cfg.scheme,
-        cfg.richardson,
+        lambda h: _L_once(k, f, t, h, _coth_rational), cfg.h, cfg.richardson
     )
 
 
@@ -206,15 +190,12 @@ def _apply_monomial(k, expo, g, t, cfg, coth):
         return _apply_monomial(k, rest, g, s, cfg, coth)
 
     return _richardson(
-        lambda h: _Lj_once(k, j, inner, t, h, cfg.scheme, coth, inner(t)),
-        cfg.h,
-        cfg.scheme,
-        cfg.richardson,
+        lambda h: _Lj_once(k, j, inner, t, h, coth, inner(t)), cfg.h, cfg.richardson
     )
 
 
 def _apply_dp(k, p, f, t, cfg, coth, weight_fn):
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     _check_singularity(k, t, cfg.h)
     km = k.k_m
 
@@ -231,7 +212,7 @@ def _apply_dp(k, p, f, t, cfg, coth, weight_fn):
         total /= weight_fn(t)
 
     # step-halving disagreement check against a quarter of the magnitude
-    cfg2 = StencilConfig(h=cfg.h / 2.0, richardson=False, scheme=cfg.scheme) \
+    cfg2 = StencilConfig(h=cfg.h / 2.0, richardson=False) \
         if cfg.h / 2.0 >= 1e-6 else None
     if cfg2 is not None and not cfg.richardson:
         total2 = 0.0 + 0.0j
@@ -271,7 +252,7 @@ def commutator_residual(k: MultiplicityBC, p: SymmetricPolynomial,
                         cfg: StencilConfig = StencilConfig()) -> float:
     """|([D_p, D_q] f)(t)| relative to the magnitudes of the two nested
     applications, by finite differences both ways."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
 
     def dq_f(s):
         return apply_Dp(k, q, f, s, cfg)

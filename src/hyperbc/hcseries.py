@@ -30,7 +30,6 @@ class RootData:
     heights: np.ndarray  # (P,)
     starts: np.ndarray
     roots_of: np.ndarray
-    js_of: np.ndarray
     srcs_of: np.ndarray
     root_vecs: np.ndarray  # (R, n)
     root_kinds: tuple  # "s", "l", or "m" per root
@@ -95,7 +94,7 @@ def root_data(n: int, order: int) -> RootData:
     mu_vecs, heights = _lattice_points(n, order)
     index = {tuple(int(round(x)) for x in v): i for i, v in enumerate(mu_vecs)}
     starts = [0]
-    roots_of, js_of, srcs_of = [], [], []
+    roots_of, srcs_of = [], []
     for v in mu_vecs:
         for r, alpha in enumerate(root_vecs):
             j = 1
@@ -108,7 +107,6 @@ def root_data(n: int, order: int) -> RootData:
                 if src is None:
                     break
                 roots_of.append(r)
-                js_of.append(j)
                 srcs_of.append(src)
                 j += 1
         starts.append(len(roots_of))
@@ -119,7 +117,6 @@ def root_data(n: int, order: int) -> RootData:
         heights=heights,
         starts=np.array(starts, dtype=np.int64),
         roots_of=np.array(roots_of, dtype=np.int64),
-        js_of=np.array(js_of, dtype=np.float64),
         srcs_of=np.array(srcs_of, dtype=np.int64),
         root_vecs=root_vecs,
         root_kinds=kinds,
@@ -167,7 +164,7 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
 
     k needs attributes k_s, k_m, k_l, n; k_m may be any complex number here.
     lam is in the lambda_j = (lambda, 2 e_j) coordinates."""
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
     n = k.n
     data = root_data(n, order)
     kw = np.array(
@@ -185,7 +182,6 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
         data.mu_vecs,
         data.starts,
         data.roots_of,
-        data.js_of,
         data.srcs_of,
         data.root_vecs,
         kw,
@@ -205,7 +201,7 @@ def series_eval(table: HCCoeffTable, t, tail_tol: float = 1e-10) -> SeriesValue:
     """sum_{height(mu) <= N} Gamma_mu exp((lambda - rho - mu)(log a_t)) with
     a last-shell geometric tail estimate.  t must be deep enough in the
     chamber for the estimate to come in under tail_tol (relative)."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     require_chamber(t)
     two_t = 2.0 * t
     lead = np.exp((table.lam - table.rho) @ (t + 0.0j))

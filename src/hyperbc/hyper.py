@@ -29,9 +29,7 @@ from .hcseries import check_genericity, root_data
 from .jacobi import jacobi_phi, jacobi_phi_asymptotic
 from .rootsystem import (
     DEGENERACY_TOL,
-    THETA_AN1,
     MultiplicityBC,
-    RootSubset,
     constant_B,
     delta_m,
     delta_m_rational,
@@ -73,22 +71,14 @@ class EvalResult:
     degenerate_path: bool
 
 
-def _as_lam(lam) -> np.ndarray:
-    return np.asarray(getattr(lam, "lam", lam), dtype=complex)
-
-
-def _as_t(t) -> np.ndarray:
-    return np.asarray(getattr(t, "t", t), dtype=float)
-
-
 def _stacked(fn):
     """Let an evaluator written for an (N, n) stack of points, returning a
     list, also take one point t, shaped (n,), and return its one result."""
 
     @functools.wraps(fn)
-    def evaluator(k, lam, t, *args, **kwargs):
-        t = _as_t(t)
-        out = fn(k, _as_lam(lam), np.atleast_2d(t), *args, **kwargs)
+    def evaluator(k, lam, t):
+        t = np.asarray(t, dtype=float)
+        out = fn(k, np.asarray(lam, dtype=complex), np.atleast_2d(t))
         return out[0] if t.ndim == 1 else out
 
     return evaluator
@@ -123,14 +113,15 @@ def _pi(x: np.ndarray) -> complex:
     return v
 
 
-def _degenerate_pairs(lam: np.ndarray, tol: float = DEGENERACY_TOL):
+def _degenerate_pairs(lam: np.ndarray):
+    """The pairs i < j with lambda_i^2 = lambda_j^2 up to DEGENERACY_TOL."""
     scale = max(1.0, float(np.max(np.abs(lam)) ** 2))
     x = lam**2
     return [
         (i, j)
         for i in range(len(lam))
         for j in range(i + 1, len(lam))
-        if abs(x[i] - x[j]) <= tol * scale
+        if abs(x[i] - x[j]) <= DEGENERACY_TOL * scale
     ]
 
 
@@ -185,9 +176,14 @@ def phi_product(k: MultiplicityBC, lam, ts) -> list[complex]:
     return out
 
 
-def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _phi_entry(k: MultiplicityBC):
+    """The entry function (lambda_i, x) -> phi_{i lambda_i}(x) of F."""
     jp = k.jacobi
-    return _gather(*_table(lambda li, x: jacobi_phi(jp, li, x), lam, ts))
+    return lambda li, x: jacobi_phi(jp, li, x)
+
+
+def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    return _gather(*_table(_phi_entry(k), lam, ts))
 
 
 def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalResult:
@@ -203,21 +199,16 @@ def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalRes
     n = k.n
     jp = k.jacobi
     rho1, c = jp.rho1, jp.alpha + 1.0
-    s = np.sinh(t) ** 2
+    # math.sinh: numpy's vectorised sinh can differ in the last bit
+    # between contiguous and strided t
+    s = np.array([math.sinh(x) for x in t.tolist()]) ** 2
     # work with knots scaled by s_1 so every power stays bounded: with
     # sigma_q = s_q / s_1 <= 1, h_d(s_1..s_j) = s_1^d h_d(sigma_1..sigma_j)
     # and the series coefficients absorb s_1^m (they are then the terms of
     # the convergent 2F1 series at s_1)
     s1 = s[0]
     sigma = s / s1
-    dmax = _SMALL_T_MAX_TERMS + n
-    h = np.zeros((n, dmax), dtype=float)
-    h[0] = sigma[0] ** np.arange(dmax)
-    for j in range(1, n):
-        h[j, 0] = 1.0
-        for d in range(1, dmax):
-            h[j, d] = h[j - 1, d] + sigma[j] * h[j, d - 1]
-    mat = np.empty((n, n), dtype=complex)
+    coefs = []
     for i in range(n):
         a, b = 0.5 * (rho1 - lam[i]), 0.5 * (rho1 + lam[i])
         # scaled coefficients C_m = s_1^m [s^m] 2F1(a, b; c; -s)
@@ -232,7 +223,17 @@ def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalRes
                 break
         else:
             raise NonConvergence("divided-difference series did not converge")
-        coef = np.asarray(coef)
+        coefs.append(np.asarray(coef))
+    # h[j, d] = h_d(sigma_1..sigma_{j+1}), as far as the longest series reads
+    dmax = max(len(coef) for coef in coefs)
+    h = np.zeros((n, dmax), dtype=float)
+    h[0] = sigma[0] ** np.arange(dmax)
+    for j in range(1, n):
+        h[j, 0] = 1.0
+        for d in range(1, dmax):
+            h[j, d] = h[j - 1, d] + sigma[j] * h[j, d - 1]
+    mat = np.empty((n, n), dtype=complex)
+    for i, coef in enumerate(coefs):
         for j in range(n):
             # DD'_ij = s_1^(j) g_i[s_1..s_{j+1}] = sum_d C_{d+j} h_d(sigma)
             mat[i, j] = np.sum(coef[j:] * h[j, : len(coef) - j])
@@ -277,22 +278,16 @@ def f_permanent(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
 
 
 @_stacked
-def f_theta(k: MultiplicityBC, lam, ts,
-            theta: RootSubset = THETA_AN1) -> list[EvalResult]:
+def f_theta(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """Partial spherical function over the A_{n-1} simple-root subset:
     pi(rho)/pi(lambda) det(Phi_{-i lambda_i}(t_j))/Delta_m for k_m = 1,
     (1/n!) perm(Phi_{-i lambda_i}(t_j)) for k_m = 0."""
-    if theta != THETA_AN1:
-        raise ParameterError("only the A_{n-1} subset is supported")
     if np.any(lam.real <= 0.0):
         raise HalfPlaneError(f"Re lambda_i > 0 required, got {lam}")
-    n = k.n
-    if k.k_m == 1:
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(lam[i] - lam[j]) <= DEGENERACY_TOL * scale:
-                    raise DegenerateLambda(f"lambda_{i+1} = lambda_{j+1}")
+    # with Re lambda > 0, lambda_i^2 = lambda_j^2 only where lambda_i = lambda_j
+    pairs = _degenerate_pairs(lam) if k.k_m == 1 else []
+    if pairs:
+        raise DegenerateLambda(f"lambda_{pairs[0][0] + 1} = lambda_{pairs[0][1] + 1}")
     jp = k.jacobi
     mats = _gather(*_table(lambda li, x: jacobi_phi_asymptotic(jp, li, x), lam, ts))
     if k.k_m == 0:
@@ -301,12 +296,18 @@ def f_theta(k: MultiplicityBC, lam, ts,
     return [_reduce(mat, 1, num, delta_m(t)) for mat, t in zip(mats, ts)]
 
 
-def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _bessel_entry(k: MultiplicityBC):
+    """The entry function (lambda_i, x) -> J_alpha(i lambda_i x), normalized,
+    of BesselBC."""
     alpha = k.alpha
     if abs(alpha.imag) > 0.0:
         raise ParameterError("Bessel limit implemented for real alpha only")
     a = alpha.real
-    return _gather(*_table(lambda li, x: bessel_j_normalized(a, 1j * li * x), lam, ts))
+    return lambda li, x: bessel_j_normalized(a, 1j * li * x)
+
+
+def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    return _gather(*_table(_bessel_entry(k), lam, ts))
 
 
 @_stacked
@@ -372,19 +373,11 @@ def _confluent(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
     the confluent divided-difference determinant."""
     if target == "F":
         require_chamber(ts)
-        jp = k.jacobi
-
-        def fn(li, x):
-            return jacobi_phi(jp, li, x)
-
+        fn = _phi_entry(k)
         denoms = [delta_m(t) for t in ts]
     else:
         _require_bessel_domain(lam, ts)
-        alpha = k.alpha.real
-
-        def fn(li, x):
-            return bessel_j_normalized(alpha, 1j * li * x)
-
+        fn = _bessel_entry(k)
         denoms = [delta_m_rational(t) for t in ts]
     num = constant_B(k)
     return [
@@ -401,7 +394,7 @@ def evaluate(req: EvalRequest):
     divided-difference determinant.  One EvalResult for one point, a
     list of them for a stack."""
     k = req.k
-    lam, t = _as_lam(req.lam), _as_t(req.t)
+    lam, t = np.asarray(req.lam, dtype=complex), np.asarray(req.t, dtype=float)
     ts = np.atleast_2d(t)
     if req.target == "PhiSeries":
         out = [EvalResult(v, 1.0, False) for v in phi_product(k, lam, ts)]

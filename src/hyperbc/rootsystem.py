@@ -1,7 +1,7 @@
-"""BC_n combinatorics and c-function data: positive roots, the
+"""BC_n combinatorics and c-function data: the chamber, the
 hyperoctahedral Weyl group, rho(k), the middle-root Weyl denominator and
-its rational limit, c-functions over positive subsystems, and the
-normalization constant B of the determinant formula."""
+its rational limit, the c-function over the full positive system, and
+the normalization constant B of the determinant formula."""
 
 import cmath
 import math
@@ -60,90 +60,10 @@ class MultiplicityBC:
         return JacobiParams(alpha=self.alpha, beta=self.beta)
 
 
-@dataclass(frozen=True)
-class RootSubset:
-    """Selector for a positive subsystem: the full BC_n system, the middle
-    roots only, the A_{n-1} simple-root subset, or the BC tail on
-    coordinates j..n."""
-
-    kind: str
-    j: int = 0
-
-    FULL_KIND = "full"
-    MIDDLE_KIND = "middle"
-    AN1_KIND = "theta_an1"
-    TAIL_KIND = "theta_tail"
-
-    def validate(self, n: int) -> None:
-        if self.kind == self.TAIL_KIND and not 2 <= self.j <= n:
-            raise ParameterError(f"theta_tail({self.j}) invalid for n = {n}")
-        if self.kind not in (
-            self.FULL_KIND,
-            self.MIDDLE_KIND,
-            self.AN1_KIND,
-            self.TAIL_KIND,
-        ):
-            raise ParameterError(f"unknown subset kind {self.kind!r}")
-
-
-FULL = RootSubset(RootSubset.FULL_KIND)
-MIDDLE_ONLY = RootSubset(RootSubset.MIDDLE_KIND)
-THETA_AN1 = RootSubset(RootSubset.AN1_KIND)
-
-
-def theta_tail(j: int) -> RootSubset:
-    return RootSubset(RootSubset.TAIL_KIND, j)
-
-
-class SpectralParam:
-    """lambda in the coordinates lambda_j = (lambda, 2 e_j)."""
-
-    def __init__(self, lam):
-        self.lam = np.asarray(lam, dtype=complex)
-        if self.lam.ndim != 1:
-            raise ParameterError("spectral parameter must be a vector")
-        if not np.all(np.isfinite(self.lam.view(float))):
-            raise ParameterError("spectral parameter must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
-
-    def is_regular(self, tol: float = DEGENERACY_TOL) -> bool:
-        lam = self.lam
-        scale = max(1.0, float(np.max(np.abs(lam)) ** 2))
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if abs(lam[i] ** 2 - lam[j] ** 2) <= tol * scale:
-                    return False
-        return True
-
-
-class ChamberPoint:
-    """t in R^n, canonical domain t_1 > ... > t_n > 0.  Raw inputs with
-    distinct nonzero |t_j| are canonicalized by the Weyl action."""
-
-    def __init__(self, t, canonicalize: bool = True):
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1:
-            raise ParameterError("chamber point must be a vector")
-        self.t = canonical_points(t) if canonicalize else t
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0]
-
-    def in_open_chamber(self) -> bool:
-        return in_open_chamber(self.t)
-
-
 def canonical_points(t: np.ndarray) -> np.ndarray:
     """Move one point (n,), or every point of a stack (N, n), with distinct
     nonzero |t_j| into the canonical chamber by the Weyl action; any other
-    point keeps its coordinates.  The result is a reversed view of an
-    ascending sort, the layout np.sort(a)[::-1] has: numpy's vectorised
-    sinh can differ in the last bit between contiguous and strided input,
-    and the divided-difference path of F takes np.sinh of the point."""
+    point keeps its coordinates."""
     ts = np.atleast_2d(t)
     srt = np.sort(np.abs(ts), axis=1)
     ok = (srt[:, 0] > 0.0) & np.all(np.diff(srt, axis=1) != 0.0, axis=1)
@@ -179,7 +99,7 @@ def rho(k) -> np.ndarray:
 def delta_m(t) -> float:
     """Middle-root Weyl denominator
     2^(n(n-1)/2) prod_{i<j} (cosh 2t_i - cosh 2t_j)."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     n = len(t)
     c = np.cosh(2.0 * t)
     val = 2.0 ** (0.5 * n * (n - 1))
@@ -192,7 +112,7 @@ def delta_m(t) -> float:
 def delta_m_rational(t) -> float:
     """Rational limit prod_{i<j} (4 t_i^2 - 4 t_j^2) of
     eps^(-n(n-1)) delta_m(a_{eps t})."""
-    t = np.asarray(getattr(t, "t", t), dtype=float)
+    t = np.asarray(t, dtype=float)
     n = len(t)
     val = 1.0
     for i in range(n):
@@ -215,25 +135,8 @@ def weyl_elements(n: int):
 
 def apply_weyl(w, lam) -> np.ndarray:
     signs, perm = w
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
     return np.array([signs[j] * lam[perm[j]] for j in range(len(lam))])
-
-
-def _subset_indices(subset: RootSubset, n: int):
-    """(middle pairs, A-type only flag, short/long indices) for a subset."""
-    subset.validate(n)
-    if subset.kind == RootSubset.FULL_KIND:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return pairs, False, list(range(n))
-    if subset.kind == RootSubset.MIDDLE_KIND:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return pairs, False, []
-    if subset.kind == RootSubset.AN1_KIND:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return pairs, True, []
-    lo = subset.j - 1
-    pairs = [(i, j) for i in range(lo, n) for j in range(i + 1, n)]
-    return pairs, False, list(range(lo, n))
 
 
 def _c_shortlong(k: MultiplicityBC, x: complex) -> complex:
@@ -257,78 +160,54 @@ def _c_shortlong(k: MultiplicityBC, x: complex) -> complex:
     return cmath.exp(s)
 
 
-def c_tilde(k: MultiplicityBC, lam, subset: RootSubset = FULL) -> complex:
-    """Gamma-quotient c-function product over the positive roots selected
-    by the subset.  For k_m = 1 the middle block collapses to
-    2^(n(n-1)) / prod_{i<j} (lambda_i^2 - lambda_j^2)."""
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=complex)
+def c_tilde(k: MultiplicityBC, lam) -> complex:
+    """Gamma-quotient c-function product over the positive roots of BC_n.
+    For k_m = 1 the middle block is 2^(n(n-1)) / prod_{i<j}
+    (lambda_i^2 - lambda_j^2)."""
+    lam = np.asarray(lam, dtype=complex)
     n = len(lam)
-    pairs, a_type_only, shortlong = _subset_indices(subset, n)
-    scale = max(1.0, float(np.max(np.abs(lam)) ** 2)) if n else 1.0
     val = 1.0 + 0.0j
     if k.k_m == 1:
-        for i, j in pairs:
-            if a_type_only:
-                d = lam[i] - lam[j]
-                if abs(d) <= C_POLE_TOL * math.sqrt(scale):
-                    raise PoleError(f"middle c-factor pole at lambda_{i}=lambda_{j}")
-                val *= 2.0 / d
-            else:
+        scale = max(1.0, float(np.max(np.abs(lam)) ** 2))
+        for i in range(n):
+            for j in range(i + 1, n):
                 d = lam[i] ** 2 - lam[j] ** 2
                 if abs(d) <= C_POLE_TOL * scale:
                     raise PoleError(
                         f"middle c-factor pole at lambda_{i}^2 = lambda_{j}^2"
                     )
                 val *= 4.0 / d
-    for p in shortlong:
-        val *= _c_shortlong(k, lam[p])
+    for x in lam:
+        val *= _c_shortlong(k, x)
     return val
 
 
-def _middle_block_normalized(k: MultiplicityBC, lam, pairs, a_type_only) -> complex:
-    """Normalized middle-root c-function.  At k_m = 0 the literal quotient
-    is 1, but rho(k) degenerates as k_m -> 0 and the limit of the quotient
-    is 1/m! over the m indices the block touches; the limit is the value
-    that makes the Weyl-sum representation of F reproduce the permanent
+def c_normalized(k: MultiplicityBC, lam) -> complex:
+    """c(lambda, k) = c_tilde(lambda, k) / c_tilde(rho(k), k).  At k_m = 0
+    the literal middle quotient is 1, but rho(k) degenerates as k_m -> 0
+    and the limit of the quotient is 1/n!; the limit is the value that
+    makes the Weyl-sum representation of F reproduce the permanent
     formula, so it is the one used."""
-    if not pairs:
-        return 1.0 + 0.0j
-    idx = sorted({i for p in pairs for i in p})
-    m = len(idx)
-    if k.k_m == 0:
-        return complex(1.0 / math.factorial(m))
-    rh = rho(k)
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    for i, j in pairs:
-        if a_type_only:
-            num *= rh[i] - rh[j]
-            den *= lam[i] - lam[j]
-        else:
-            num *= rh[i] ** 2 - rh[j] ** 2
-            den *= lam[i] ** 2 - lam[j] ** 2
-    if abs(den) == 0.0:
-        raise PoleError("middle c-factor pole in normalized c-function")
-    return num / den
-
-
-def c_normalized(k: MultiplicityBC, lam, subset: RootSubset = FULL) -> complex:
-    """c(lambda, k) = c_tilde(lambda, k) / c_tilde(rho(k), k) over the
-    selected subsystem, with the k_m = 0 middle block taken in the limit
-    sense (value 1/m!)."""
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
     n = len(lam)
-    pairs, a_type_only, shortlong = _subset_indices(subset, n)
-    val = _middle_block_normalized(k, lam, pairs, a_type_only)
-    if shortlong:
-        rh = rho(k)
-        for p in shortlong:
-            den = _c_shortlong(k, rh[p])
-            if abs(den) == 0.0:
-                raise ZeroDenominator(
-                    f"c-tilde vanishes at rho(k) in coordinate {p + 1}"
-                )
-            val *= _c_shortlong(k, lam[p]) / den
+    rh = rho(k)
+    if k.k_m == 0:
+        val = complex(1.0 / math.factorial(n))
+    else:
+        num = 1.0 + 0.0j
+        den = 1.0 + 0.0j
+        for i in range(n):
+            for j in range(i + 1, n):
+                num *= rh[i] ** 2 - rh[j] ** 2
+                den *= lam[i] ** 2 - lam[j] ** 2
+        if abs(den) == 0.0:
+            raise PoleError("middle c-factor pole in normalized c-function")
+        val = num / den
+    for p in range(n):
+        den = _c_shortlong(k, rh[p])
+        if abs(den) == 0.0:
+            raise ZeroDenominator(f"c-tilde vanishes at rho(k) in coordinate {p + 1}")
+        val *= _c_shortlong(k, lam[p]) / den
     return val
 
 

@@ -29,10 +29,6 @@ def log_gamma(z) -> complex:
     return _kernels.log_gamma(z)
 
 
-def gamma(z) -> complex:
-    return cmath.exp(log_gamma(z))
-
-
 def gauss_2f1(a, b, c, z) -> complex:
     """2F1(a, b; c; z) for real z <= 0 (via the Pfaff transformation) or
     z in [0, 1) (direct series).  Terminating cases (a or b a non-positive

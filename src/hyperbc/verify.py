@@ -17,7 +17,6 @@ from .hcseries import compute_coeffs, series_eval
 from .hyper import bessel_bcn, f_determinant, f_permanent, f_theta, phi_product
 from .jacobi import jacobi_phi
 from .rootsystem import (
-    FULL,
     MultiplicityBC,
     apply_weyl,
     c_normalized,
@@ -90,11 +89,11 @@ def _f_value(k: MultiplicityBC, lam, t) -> complex:
 def weyl_sum_tables(k: MultiplicityBC, lam, order: int = ORACLE_ORDER):
     """(c(w lambda), coefficient table) for every Weyl element, reusable
     across chamber points."""
-    lam = np.asarray(getattr(lam, "lam", lam), dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
     out = []
     for w in weyl_elements(k.n):
         wl = apply_weyl(w, lam)
-        out.append((c_normalized(k, wl, FULL), compute_coeffs(k, wl, order)))
+        out.append((c_normalized(k, wl), compute_coeffs(k, wl, order)))
     return out
 
 
@@ -232,7 +231,7 @@ def _chamber_points(n, count, seed=20240817):
 
 
 def _suite_eigen(records, ns):
-    cfg = StencilConfig(h=1e-3, richardson=True, scheme=2)
+    cfg = StencilConfig(h=1e-3, richardson=True)
     for n in ns:
         lam = np.array(LAM_GENERIC[n])
         for km in (0, 1):
@@ -322,7 +321,7 @@ def _suite_commutativity(records):
     def bump(t):
         return math.exp(-((t[0] - 1.2) ** 2 + (t[1] - 0.5) ** 2))
 
-    cfg = StencilConfig(h=COMMUTATOR_H, richardson=True, scheme=2)
+    cfg = StencilConfig(h=COMMUTATOR_H, richardson=True)
     res = commutator_residual(k, p1, p2, bump, np.array([1.3, 0.6]), cfg)
     records.append(_record("commutativity", "k_m=1 n=2 [D_p1, D_p2] on bump",
                            res, COMMUTATOR_TOL))
@@ -336,7 +335,7 @@ def _suite_bconst(records, ns):
                 k = MultiplicityBC(k_s=float(ks), k_m=1, k_l=float(kl), n=n)
                 lhs = constant_B(k)
                 gam = cmath.exp(log_gamma(k.alpha + 1.0))
-                denom = c_tilde(k, rho(k), FULL) * (
+                denom = c_tilde(k, rho(k)) * (
                     2.0 ** (2.0 * ks + 2.0 * kl - 1.0) * gam
                 ) ** n
                 rhs = 2.0 ** (n * (n - 1)) / denom

@@ -293,6 +293,13 @@ class TestEntryPoint:
             "--n", "1", "--k", "1,1,0.5", "--lambda", "2.3", "--t", "0.7",
             "--format", "json"]
 
+    def test_public_names_resolve(self):
+        import hyperbc
+
+        namespace = {}
+        exec("from hyperbc import *", namespace)
+        assert set(hyperbc.__all__) <= namespace.keys()
+
     def test_installed_script(self):
         proc = subprocess.run(self.ARGV, capture_output=True, text=True,
                               timeout=120)

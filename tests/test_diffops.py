@@ -41,6 +41,8 @@ class TestConfig:
     def test_scheme_restricted(self):
         with pytest.raises(ParameterError):
             StencilConfig(scheme=3)
+        with pytest.raises(ParameterError):
+            StencilConfig(scheme=4)
 
 
 class TestApplyL:

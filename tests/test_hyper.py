@@ -100,6 +100,16 @@ class TestDeterminant:
         with pytest.raises(DegenerateLambda):
             f_determinant(K1, [2.0, 2.0], T2)
 
+    def test_divided_path_independent_of_layout(self):
+        # the CLI passes a reversed view of a sorted point; a contiguous
+        # copy of it must give the same bits on the divided-difference path
+        rng = np.random.default_rng(11)
+        lam = np.array([4.15, 2.55, 1.07])
+        for _ in range(200):
+            t = np.sort(rng.uniform(0.02, 0.6, 3))[::-1]
+            contiguous = f_determinant(K1_3, lam, np.ascontiguousarray(t)).value
+            assert f_determinant(K1_3, lam, t).value == contiguous
+
     def test_weyl_invariance_spot(self):
         base = f_determinant(K1, LAM2, T2).value
         for w in weyl_elements(2):
@@ -141,6 +151,11 @@ class TestPartialSphericalFunction:
         with pytest.raises(HalfPlaneError):
             f_theta(K1, [2.55, -1.07], T2)
 
+    @pytest.mark.parametrize("lam", [[2.0, 2.0], [2.5, 2.5]])
+    def test_coinciding_lambda_rejected(self, lam):
+        with pytest.raises(DegenerateLambda):
+            f_theta(K1, lam, T2)
+
     def test_permutation_invariance(self):
         a = f_theta(K0, LAM2, T2).value
         b = f_theta(K0, LAM2[::-1].copy(), T2).value
@@ -180,6 +195,15 @@ class TestEvaluate:
         res = evaluate(req)
         assert res.degenerate_path
         assert rel(res.value, BESS_CONFLUENT_REF) < 1e-7
+
+    @pytest.mark.parametrize("lam", [[2.0, 1.0], [2.0, 2.0]])
+    def test_bessel_complex_alpha_rejected(self, lam):
+        # the confluent path (lambda = (2, 2)) takes the same entry
+        # function, with its real-alpha check, as the plain determinant
+        k = MultiplicityBC(k_s=1.0 + 0.5j, k_m=1, k_l=0.5, n=2)
+        req = EvalRequest(k=k, lam=np.array(lam), t=T2, target="BesselBC")
+        with pytest.raises(ParameterError, match="real alpha"):
+            evaluate(req)
 
     def test_triple_confluence_rejected(self):
         k3 = K1_3

@@ -7,21 +7,19 @@ import numpy as np
 import pytest
 
 from hyperbc.errors import ParameterError, PoleError, SizeError
+from hyperbc.hyper import _degenerate_pairs
 from hyperbc.rootsystem import (
-    FULL,
-    MIDDLE_ONLY,
-    THETA_AN1,
-    ChamberPoint,
     MultiplicityBC,
-    SpectralParam,
+    _c_shortlong,
     apply_weyl,
     c_normalized,
     c_tilde,
+    canonical_points,
     constant_B,
     delta_m,
     delta_m_rational,
+    in_open_chamber,
     rho,
-    theta_tail,
     weyl_elements,
 )
 
@@ -95,73 +93,56 @@ class TestWeylGroup:
 
 class TestPoints:
     def test_spectral_regular(self):
-        assert SpectralParam([2.3, 1.1]).is_regular()
-        assert not SpectralParam([2.0, 2.0]).is_regular()
-        assert not SpectralParam([2.0, -2.0]).is_regular()
+        assert _degenerate_pairs(np.array([2.3, 1.1])) == []
+        assert _degenerate_pairs(np.array([2.0, 2.0])) == [(0, 1)]
+        assert _degenerate_pairs(np.array([2.0, -2.0])) == [(0, 1)]
 
     def test_chamber_canonicalization(self):
-        c = ChamberPoint([-0.4, 1.0])
-        assert np.allclose(c.t, [1.0, 0.4])
-        assert c.in_open_chamber()
+        t = canonical_points(np.array([-0.4, 1.0]))
+        assert np.allclose(t, [1.0, 0.4])
+        assert in_open_chamber(t)
 
     def test_chamber_ties_not_canonicalized(self):
-        c = ChamberPoint([0.4, 0.4])
-        assert not c.in_open_chamber()
+        assert not in_open_chamber(canonical_points(np.array([0.4, 0.4])))
 
 
 class TestCFunctions:
     def test_middle_closed_form(self):
+        # the full c-tilde over its short/long factors is the middle block
         k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
         lam = np.array([2.3, 1.1], dtype=complex)
-        got = c_tilde(k, lam, MIDDLE_ONLY)
+        got = c_tilde(k, lam) / (_c_shortlong(k, lam[0]) * _c_shortlong(k, lam[1]))
         assert rel(got, 4.0 / (lam[0] ** 2 - lam[1] ** 2)) < 1e-14
 
     def test_middle_pole(self):
         k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
         with pytest.raises(PoleError):
-            c_tilde(k, [2.0, 2.0], MIDDLE_ONLY)
+            c_tilde(k, [2.0, 2.0])
 
     def test_normalized_rank1_reference(self):
         k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=1)
-        assert rel(c_normalized(k, [2.3], FULL), C_NORM_RANK1_REF) < 1e-12
+        assert rel(c_normalized(k, [2.3]), C_NORM_RANK1_REF) < 1e-12
 
     def test_normalized_value_at_rho(self):
         # with the middle multiplicity on the normalization is exactly 1;
         # with it off the middle block contributes its limit value 1/m!,
         # matching the 1/n! weight of the permanent form
         k1 = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
-        assert rel(c_normalized(k1, rho(k1), FULL), 1.0) < 1e-12
+        assert rel(c_normalized(k1, rho(k1)), 1.0) < 1e-12
         k0 = MultiplicityBC(k_s=1.0, k_m=0, k_l=0.5, n=2)
-        assert rel(c_normalized(k0, rho(k0), FULL), 0.5) < 1e-12
+        assert rel(c_normalized(k0, rho(k0)), 0.5) < 1e-12
 
     def test_middle_limit_value(self):
         # with the middle multiplicity off, the normalized middle block is
-        # the limit value 1/m! (the value consistent with the permanent
+        # the limit value 1/n! (the value consistent with the permanent
         # form of the Weyl-sum representation)
         k = MultiplicityBC(k_s=1.0, k_m=0, k_l=0.5, n=3)
-        got = c_normalized(k, [2.3, 1.7, 1.1], MIDDLE_ONLY)
-        assert rel(got, 1.0 / 6.0) < 1e-14
-
-    def test_subset_factorization(self):
-        # over the A-type subset plus diagonal short/long factors the full
-        # normalized c splits into middle times short/long blocks
-        k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
-        lam = np.array([2.3, 1.1], dtype=complex)
-        full = c_normalized(k, lam, FULL)
-        mid = c_normalized(k, lam, MIDDLE_ONLY)
-        tail = c_normalized(k, lam, theta_tail(2))
-        # theta_tail(2) for n = 2 keeps coordinate 2's short/long factors
-        # only; the full block is middle times both coordinate factors
-        from hyperbc.rootsystem import _c_shortlong
-
-        f1 = _c_shortlong(k, lam[0]) / _c_shortlong(k, rho(k)[0])
-        assert rel(full, mid * tail * f1) < 1e-12
-
-    def test_a_type_block(self):
-        k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
-        lam = np.array([2.3, 1.1], dtype=complex)
-        got = c_tilde(k, lam, THETA_AN1)
-        assert rel(got, 2.0 / (lam[0] - lam[1])) < 1e-14
+        lam = np.array([2.3, 1.7, 1.1], dtype=complex)
+        rh = rho(k)
+        shortlong = np.prod(
+            [_c_shortlong(k, lam[p]) / _c_shortlong(k, rh[p]) for p in range(3)]
+        )
+        assert rel(c_normalized(k, lam) / shortlong, 1.0 / 6.0) < 1e-14
 
 
 class TestConstantB:
@@ -184,7 +165,7 @@ class TestConstantB:
         for n in (2, 3):
             k = MultiplicityBC(k_s=0.8, k_m=1, k_l=0.6, n=n)
             gam = cmath.exp(log_gamma(k.alpha + 1.0))
-            denom = c_tilde(k, rho(k), FULL) * (
+            denom = c_tilde(k, rho(k)) * (
                 2.0 ** (2.0 * 0.8 + 2.0 * 0.6 - 1.0) * gam
             ) ** n
             assert rel(constant_B(k), 2.0 ** (n * (n - 1)) / denom) < 1e-12

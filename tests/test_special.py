@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbc.errors import DomainError, NonConvergence, PoleError
@@ -42,6 +42,7 @@ class TestLogGamma:
         st.floats(-20.0, 20.0),
     )
     @settings(max_examples=80, deadline=None)
+    @example(-11.998914300030378, 0.0)
     def test_recurrence(self, x, y):
         z = complex(x, y)
         if abs(z) < 1e-3:
