@@ -72,17 +72,6 @@ def _lattice_points(n: int, order: int):
     return vecs, heights
 
 
-def _in_lattice(v, n):
-    """v is in Q iff its partial sums (the simple-root coefficients) are
-    non-negative integers."""
-    s = 0.0
-    for i in range(n):
-        s += v[i]
-        if s < -0.5 or abs(s - round(s)) > 1e-9:
-            return False
-    return True
-
-
 _ROOT_DATA_CACHE: dict = {}
 
 
@@ -92,32 +81,31 @@ def root_data(n: int, order: int) -> RootData:
         return _ROOT_DATA_CACHE[key]
     root_vecs, kinds = _positive_roots(n)
     mu_vecs, heights = _lattice_points(n, order)
-    index = {tuple(int(round(x)) for x in v): i for i, v in enumerate(mu_vecs)}
-    starts = [0]
-    roots_of, srcs_of = [], []
-    for v in mu_vecs:
-        for r, alpha in enumerate(root_vecs):
-            j = 1
-            while True:
-                w = v - j * alpha
-                if not _in_lattice(w, n):
-                    break
-                keyw = tuple(int(round(x)) for x in w)
-                src = index.get(keyw)
-                if src is None:
-                    break
-                roots_of.append(r)
-                srcs_of.append(src)
-                j += 1
-        starts.append(len(roots_of))
+    index = {v: i for i, v in enumerate(map(tuple, mu_vecs.astype(int).tolist()))}
+    # in simple-root coordinates (partial sums) mu - j alpha stays in the
+    # lattice, and so among the points below mu, while no coordinate is < 0
+    coords = np.cumsum(mu_vecs, axis=1).astype(np.int64)
+    steps = np.cumsum(root_vecs, axis=1).astype(np.int64)
+    jmax = np.full((len(mu_vecs), len(root_vecs)), order, dtype=np.int64)
+    for i in range(n):
+        on = steps[:, i] > 0
+        jmax[:, on] = np.minimum(jmax[:, on], coords[:, i, None] // steps[on, i])
+    count = jmax.ravel()
+    p, r = np.divmod(np.repeat(np.arange(count.size), count), len(root_vecs))
+    j = np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count) + 1
+    # each source by its mixed-radix key among the sorted keys of the points
+    radix = (order + 1) ** np.arange(n, dtype=np.int64)
+    keys = coords @ radix
+    by_key = np.argsort(keys)
+    srcs = by_key[np.searchsorted(keys[by_key], (coords[p] - j[:, None] * steps[r]) @ radix)]
     data = RootData(
         n=n,
         order=order,
         mu_vecs=mu_vecs,
         heights=heights,
-        starts=np.array(starts, dtype=np.int64),
-        roots_of=np.array(roots_of, dtype=np.int64),
-        srcs_of=np.array(srcs_of, dtype=np.int64),
+        starts=np.concatenate([[0], np.cumsum(jmax.sum(axis=1))]),
+        roots_of=r,
+        srcs_of=srcs,
         root_vecs=root_vecs,
         root_kinds=kinds,
         index=index,

@@ -3,14 +3,13 @@ the BC_n hypergeometric function F via determinant (k_m = 1) or permanent
 (k_m = 0), the partial Weyl-sum spherical function over the A_{n-1}
 subsystem, and the rational (Bessel) limit.
 
-Every evaluator takes one point t, shaped (n,), and returns its result,
-or a stack of points, shaped (N, n), and returns a list of N results.  A
-stack shares its work: each rank-one value f(lambda_i, x) is computed
-once per distinct coordinate x of the stack, every point's n x n matrix
-is gathered from that table, and the checks that depend on lambda alone
-run once."""
+Every evaluator takes one point t, shaped (n,), or a stack of points,
+shaped (N, n), and returns one result or a list of N.  A stack computes
+each rank-one value f(lambda_i, x) once per distinct coordinate x and
+gathers every point's n x n matrix from that table.  At k_m = 1 a point
+where det / Vandermonde would cancel (coinciding lambda_i^2, a wall, the
+origin) takes the divided differences of _f_det_divided instead."""
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -18,34 +17,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DegenerateLambda,
-    DomainError,
-    HalfPlaneError,
-    NonConvergence,
-    ParameterError,
-)
+from .errors import DegenerateLambda, DomainError, HalfPlaneError, NonConvergence, ParameterError
 from .hcseries import check_genericity, root_data
 from .jacobi import jacobi_phi, jacobi_phi_asymptotic
 from .rootsystem import (
     DEGENERACY_TOL,
     MultiplicityBC,
+    _pi,
     constant_B,
     delta_m,
     delta_m_rational,
     require_chamber,
     rho,
 )
-from .special import bessel_j_normalized
+from .special import MAX_TERMS, bessel_j_normalized
 
 GENERICITY_ORDER = 12
-#: central-difference step (in lambda^2) of the confluent fallback
-CONFLUENT_STEP = 1e-4
-#: below this sinh^2(t_1) the determinant is evaluated through divided
-#: differences in s = sinh^2 t, which stays accurate as the t_j cluster
-#: (the plain det / Delta_m ratio loses all digits near t = 0)
-SMALL_T_SINH2 = 0.5
-_SMALL_T_MAX_TERMS = 2000
+#: knots s_j below this form the cluster at the origin, where the series of
+#: the entry at s = 0 is summed; with every knot there, det / Delta_m of
+#: the plain path loses all digits as t -> 0
+ORIGIN_S = 0.5
+#: lambda_i^2, or knots s_j, closer than this (relative) form one cluster;
+#: the plain det / Vandermonde ratio loses about eps / gap there
+CLUSTER_GAP = 1e-4
 
 TARGETS = ("F", "PhiSeries", "FTheta", "BesselBC")
 
@@ -103,26 +97,12 @@ def _gather(table: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table[:, inv].transpose(1, 0, 2))
 
 
-def _pi(x: np.ndarray) -> complex:
-    """prod_{i<j} (x_i - x_j)."""
-    v = 1.0 + 0.0j
-    n = len(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v *= x[i] - x[j]
-    return v
-
-
-def _degenerate_pairs(lam: np.ndarray):
-    """The pairs i < j with lambda_i^2 = lambda_j^2 up to DEGENERACY_TOL."""
+def _degenerate_pairs(lam: np.ndarray, tol: float = DEGENERACY_TOL):
+    """The pairs i < j with lambda_i^2 = lambda_j^2 up to tol."""
     scale = max(1.0, float(np.max(np.abs(lam)) ** 2))
     x = lam**2
-    return [
-        (i, j)
-        for i in range(len(lam))
-        for j in range(i + 1, len(lam))
-        if abs(x[i] - x[j]) <= DEGENERACY_TOL * scale
-    ]
+    return [(i, j) for i in range(len(lam)) for j in range(i + 1, len(lam))
+            if abs(x[i] - x[j]) <= tol * scale]
 
 
 def _require_bessel_domain(lam: np.ndarray, ts: np.ndarray) -> None:
@@ -138,7 +118,7 @@ def _cond(mat: np.ndarray, result: complex) -> float:
 
 
 def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
-            den: complex = 1.0) -> EvalResult:
+            den: complex = 1.0, degenerate: bool = False) -> EvalResult:
     """The reduction shared by every evaluator: perm(mat) / n! for
     k_m = 0, num * det(mat) / den for k_m = 1, with the cancellation
     estimate of either."""
@@ -148,7 +128,7 @@ def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
     else:
         red = complex(np.linalg.det(mat))
         value = num * red / den
-    return EvalResult(complex(value), _cond(mat, red), False)
+    return EvalResult(complex(value), _cond(mat, red), degenerate)
 
 
 @_stacked
@@ -176,96 +156,152 @@ def phi_product(k: MultiplicityBC, lam, ts) -> list[complex]:
     return out
 
 
-def _phi_entry(k: MultiplicityBC):
-    """The entry function (lambda_i, x) -> phi_{i lambda_i}(x) of F."""
-    jp = k.jacobi
-    return lambda li, x: jacobi_phi(jp, li, x)
-
-
 def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return _gather(*_table(_phi_entry(k), lam, ts))
-
-
-def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray) -> EvalResult:
-    """Determinant formula through column divided differences in
-    s_j = sinh^2 t_j.  With g_i(s) = phi_{i lambda_i} as a power series in
-    -s, the matrix DD_ij = g_i[s_1, ..., s_j] satisfies
-    det(g_i(s_j)) = det(DD) prod_{j'<j}(s_j - s_j'), and Delta_m =
-    2^(n(n-1)) prod_{i<j}(s_i - s_j), so
-    F = (-1)^(n(n-1)/2) B det(DD) / [2^(n(n-1)) prod(lambda_i^2-lambda_j^2)].
-    Divided differences of s^m are complete homogeneous polynomials
-    h_{m-j+1}(s_1..s_j), so each entry is a directly summed series with no
-    cancellation between nearby s_j."""
-    n = k.n
+    """The matrices phi_{i lambda_i}(t_j) of F."""
     jp = k.jacobi
-    rho1, c = jp.rho1, jp.alpha + 1.0
-    # math.sinh: numpy's vectorised sinh can differ in the last bit
-    # between contiguous and strided t
-    s = np.array([math.sinh(x) for x in t.tolist()]) ** 2
-    # work with knots scaled by s_1 so every power stays bounded: with
-    # sigma_q = s_q / s_1 <= 1, h_d(s_1..s_j) = s_1^d h_d(sigma_1..sigma_j)
-    # and the series coefficients absorb s_1^m (they are then the terms of
-    # the convergent 2F1 series at s_1)
-    s1 = s[0]
-    sigma = s / s1
-    coefs = []
-    for i in range(n):
-        a, b = 0.5 * (rho1 - lam[i]), 0.5 * (rho1 + lam[i])
-        # scaled coefficients C_m = s_1^m [s^m] 2F1(a, b; c; -s)
-        coef = [1.0 + 0.0j]
-        peak, small = 1.0, 0
-        for m in range(1, _SMALL_T_MAX_TERMS):
-            cm = -coef[m - 1] * (a + m - 1) * (b + m - 1) * s1 / ((c + m - 1) * m)
-            coef.append(cm)
-            peak = max(peak, abs(cm))
-            small = small + 1 if abs(cm) <= 1e-22 * peak else 0
-            if small >= 5 and m > n:
-                break
+    return _gather(*_table(lambda li, x: jacobi_phi(jp, li, x), lam, ts))
+
+
+def _knots(t: np.ndarray, bessel: bool) -> list[float]:
+    """s_j = t_j^2 for BesselBC, sinh^2 t_j for F (math.sinh: numpy's
+    vectorised sinh can differ in the last bit between memory layouts)."""
+    return [x * x for x in t.tolist()] if bessel else [math.sinh(x) ** 2 for x in t.tolist()]
+
+
+def _near(a: float, b: float) -> bool:
+    """Knots a > b close enough to share a cluster."""
+    return a - b < CLUSTER_GAP * max(a, ORIGIN_S)
+
+
+def _x_clusters(lam: np.ndarray) -> list[list[int]]:
+    """The connected components of _degenerate_pairs(lam, CLUSTER_GAP)."""
+    label = list(range(len(lam)))
+    for i, j in _degenerate_pairs(lam, CLUSTER_GAP):
+        label = [label[i] if q == label[j] else q for q in label]
+    return [[i for i, q in enumerate(label) if q == g] for g in dict.fromkeys(label)]
+
+
+def _s_clusters(s: list[float]) -> list[list[int]]:
+    """The clusters of the knots s (descending), from the origin up: the
+    knots below ORIGIN_S, then runs of knots each _near the next."""
+    out: list[list[int]] = []
+    for j in reversed(range(len(s))):
+        if out and (s[j] < ORIGIN_S or _near(s[j], s[j + 1])):
+            out[-1].insert(0, j)
         else:
-            raise NonConvergence("divided-difference series did not converge")
-        coefs.append(np.asarray(coef))
-    # h[j, d] = h_d(sigma_1..sigma_{j+1}), as far as the longest series reads
-    dmax = max(len(coef) for coef in coefs)
-    h = np.zeros((n, dmax), dtype=float)
-    h[0] = sigma[0] ** np.arange(dmax)
-    for j in range(1, n):
-        h[j, 0] = 1.0
-        for d in range(1, dmax):
-            h[j, d] = h[j - 1, d] + sigma[j] * h[j, d - 1]
+            out.append([j])
+    return out
+
+
+def _taylor(tau, y, link, c, sigma, rho1, s0, scale, r, dmin):
+    """tau_d = scale^d [u^d] g(x, s0 + u) for d = 0, 1, ... and every row,
+    from tau_0 (and tau_1 when s0 > 0), past dmin and as far as the terms
+    tau_d r^d count.  The entry g solves (s + sigma s^2) g'' +
+    (c + sigma (rho1 + 1) s) g' = (x - sigma rho1^2) g / 4, whose
+    recurrence meets x only in a factor x - sigma (rho1 + 2d)^2.  The rows
+    of one x-cluster hold g[x_1..x_q], which that factor maps by
+    (x f)[x_1..x_q] = x_q f[x_1..x_q] + f[x_1..x_{q-1}]: link marks them."""
+    out, k = [list(v) for v in tau], len(tau)
+    y, link, w = np.asarray(y), np.asarray(link), 1.0 + sigma * s0
+    peak, quiet = [abs(v) for v in out[0]], 0
+    while len(out) <= MAX_TERMS:
+        # the coefficients of the next 64 terms from one numpy pass
+        d = np.arange(len(out) - k, len(out) - k + 64)
+        if s0 == 0.0:
+            f, g = scale / (4.0 * (d + 1) * (c + d)), 0.0 * d
+        else:
+            f = s0 / (4.0 * w * (d + 1) * (d + 2))
+            g = ((1.0 + 2.0 * sigma * s0) * d + c + sigma * (rho1 + 1.0) * s0) / (w * (d + 2))
+        fy = f[:, None] * (y - sigma * (rho1 + 2.0 * d[:, None]) ** 2)
+        for a, b, gq in zip(fy.tolist(), (f[:, None] * link).tolist(), g.tolist()):
+            prev = out[-k]
+            out.append([ap * v + bp * lo - gq * z for ap, v, bp, lo, z
+                        in zip(a, prev, b, [0j] + prev[:-1], out[-1])])
+            if len(out) % 4 == 0:
+                # done when, at two checks in a row, every row's term is
+                # below 1e-17 of its largest
+                rd = r ** (len(out) - 1)
+                mags = [abs(v) * rd for v in out[-1]]
+                peak = list(map(max, peak, mags))
+                quiet = quiet + 1 if all(m <= 1e-17 * q for m, q in zip(mags, peak)) else 0
+                if quiet == 2 and len(out) > dmin:
+                    return np.array(out)
+    raise NonConvergence("divided-difference series did not converge")
+
+
+def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray,
+                   bessel: bool = False) -> EvalResult:
+    """B det(g(x_i, s_j)) / [2^(n(n-1)) V(x) V(s)], x = lambda^2 and
+    V(y) = prod_{i<j} (y_i - y_j), for F (s = sinh^2 t) or BesselBC
+    (s = t^2), by divided differences on both sides.  Over a cluster of x
+    the rows are g[x_1..x_q]; over a cluster of knots the columns are
+    g[s_1..s_q] = sum_d T_{d+q-1} h_d(s_1 - s0, ..., s_q - s0), with T_d the
+    Taylor coefficients at its centre s0 and h_d the complete homogeneous
+    polynomials.  Nothing cancels, and V keeps the pairs across clusters.
+    T_d comes from the series at 0 out to ORIGIN_S, then from steps
+    s -> 1.5 s of the ODE that stop at every centre."""
+    n, s = k.n, _knots(t, bessel)
+    if bessel:
+        c, sigma, rho1 = _bessel_alpha(k) + 1.0, 0.0, 0.0
+    else:
+        c, sigma, rho1 = k.alpha + 1.0, 1.0, k.jacobi.rho1
+    groups, clusters = _x_clusters(lam), _s_clusters(s)
+    y = [lam[i] ** 2 for g in groups for i in g]
+    link = [float(q > 0) for g in groups for q in range(len(g))]
+    den = 2.0 ** (n * (n - 1)) * _pi(y, [g[0] for g in groups for _ in g]) * _pi(
+        s, [g[0] for g in reversed(clusters) for _ in g])
+    npairs = sum(len(g) * (len(g) - 1) // 2 for g in groups + clusters)
+    # the centre of a cluster is its smallest knot, or 0 below ORIGIN_S
+    at = {0.0 if s[g[-1]] < ORIGIN_S else s[g[-1]]: g for g in clusters}
+    stops = [0.0]
+    for centre in at:
+        while stops[-1] < centre:
+            stops.append(min(centre, max(1.5 * stops[-1], ORIGIN_S)))
     mat = np.empty((n, n), dtype=complex)
-    for i, coef in enumerate(coefs):
-        for j in range(n):
-            # DD'_ij = s_1^(j) g_i[s_1..s_{j+1}] = sum_d C_{d+j} h_d(sigma)
-            mat[i, j] = np.sum(coef[j:] * h[j, : len(coef) - j])
-    npairs = n * (n - 1) // 2
-    sign = -1.0 if npairs % 2 else 1.0
-    return _reduce(
-        mat, 1, sign * constant_B(k), s1**npairs * 2.0 ** (n * (n - 1)) * _pi(lam**2)
-    )
+    tau = [[1.0 - q for q in link]]
+    for s0, nxt in zip(stops, stops[1:] + stops[-1:]):
+        cols, scale = at.get(s0, []), s0 or ORIGIN_S
+        u = [(s[j] - s0) / scale for j in cols]
+        taus = _taylor(tau, y, link, c, sigma, rho1, s0, scale,
+                       max(u + [(nxt - s0) / scale]), len(cols))
+        h = np.eye(1, len(taus))[0]  # h_d() = [d == 0]
+        for q, j in enumerate(cols):
+            # h_d(u_0..u_q) from h_d(u_0..u_{q-1}); column q is scaled by scale^q
+            h = np.convolve(h, u[q] ** np.arange(len(taus)))[:len(taus)]
+            mat[:, j] = h[:len(taus) - q] @ taus[q:]
+            den *= scale**q
+        hp = ((nxt - s0) / scale) ** np.arange(len(taus))
+        tau = [(hp @ taus).tolist(),
+               ((nxt / scale) * (np.arange(1, len(taus)) * hp[:-1]) @ taus[1:]).tolist()]
+    return _reduce(mat, 1, (-1) ** npairs * constant_B(k), den, len(groups) < n)
+
+
+def _det_reduced(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
+                 bessel: bool) -> list[EvalResult]:
+    """B det / [prod_{i<j}(lambda_i^2 - lambda_j^2) Delta_m] of F or
+    BesselBC at every point: the plain det over one table of entries, or
+    _f_det_divided at a point with a cluster of lambda_i^2 or of knots, or
+    with every knot below ORIGIN_S."""
+    whole = len(_x_clusters(lam)) < k.n
+    routed = [whole or s[0] < ORIGIN_S or any(map(_near, s, s[1:]))
+              for s in (_knots(t, bessel) for t in ts)]
+    plain = ts[np.logical_not(routed)] if any(routed) else ts
+    mats = iter((_bessel_matrix if bessel else _phi_matrix)(k, lam, plain) if len(plain) else ())
+    num, vdm = constant_B(k), _pi(lam**2)
+    delta = delta_m_rational if bessel else delta_m
+    return [_f_det_divided(k, lam, t, bessel) if r else _reduce(next(mats), 1, num, vdm * delta(t))
+            for t, r in zip(ts, routed)]
 
 
 @_stacked
 def f_determinant(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """F(lambda, k; a_t) for k_m = 1:
     B det(phi_{i lambda_i}(t_j)) / [prod_{i<j}(lambda_i^2 - lambda_j^2)
-    Delta_m(a_t)].  Near the origin (sinh^2 t_1 < SMALL_T_SINH2) the ratio
-    det / Delta_m is computed by divided differences, which remains
-    accurate as the denominator degenerates."""
+    Delta_m(a_t)], with coinciding lambda_i^2 allowed."""
     if k.k_m != 1:
         raise ParameterError("determinant formula requires k_m = 1")
     require_chamber(ts)
-    if _degenerate_pairs(lam):
-        raise DegenerateLambda(
-            "coinciding lambda_i^2; use evaluate() for the confluent path"
-        )
-    near = [math.sinh(t1) ** 2 < SMALL_T_SINH2 for t1 in ts[:, 0].tolist()]
-    far = ts[np.logical_not(near)] if any(near) else ts
-    mats = iter(_phi_matrix(k, lam, far) if len(far) else ())
-    num, vdm = constant_B(k), _pi(lam**2)
-    return [
-        _f_det_divided(k, lam, t) if s else _reduce(next(mats), 1, num, vdm * delta_m(t))
-        for t, s in zip(ts, near)
-    ]
+    return _det_reduced(k, lam, ts, False)
 
 
 @_stacked
@@ -296,103 +332,34 @@ def f_theta(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     return [_reduce(mat, 1, num, delta_m(t)) for mat, t in zip(mats, ts)]
 
 
-def _bessel_entry(k: MultiplicityBC):
-    """The entry function (lambda_i, x) -> J_alpha(i lambda_i x), normalized,
-    of BesselBC."""
-    alpha = k.alpha
-    if abs(alpha.imag) > 0.0:
+def _bessel_alpha(k: MultiplicityBC) -> float:
+    """alpha, which the Bessel limit takes real."""
+    if abs(k.alpha.imag) > 0.0:
         raise ParameterError("Bessel limit implemented for real alpha only")
-    a = alpha.real
-    return lambda li, x: bessel_j_normalized(a, 1j * li * x)
+    return k.alpha.real
 
 
 def _bessel_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return _gather(*_table(_bessel_entry(k), lam, ts))
+    """The matrices J_alpha(i lambda_i t_j), normalized, of BesselBC."""
+    a = _bessel_alpha(k)
+    return _gather(*_table(lambda li, x: bessel_j_normalized(a, 1j * li * x), lam, ts))
 
 
 @_stacked
 def bessel_bcn(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     """Bessel function of type BC_n, the limit of F(eps^-1 lambda, k; a_{eps t}):
     A det(J_alpha(i lambda_i t_j)) / [prod(lambda_i^2 - lambda_j^2)
-    Delta_m,rat(a_t)] for k_m = 1, (1/n!) perm(J_alpha(i lambda_i t_j))
-    for k_m = 0."""
+    Delta_m,rat(a_t)] for k_m = 1, with coinciding lambda_i^2 allowed,
+    (1/n!) perm(J_alpha(i lambda_i t_j)) for k_m = 0."""
     _require_bessel_domain(lam, ts)
-    if k.k_m == 1 and _degenerate_pairs(lam):
-        raise DegenerateLambda(
-            "coinciding lambda_i^2; use evaluate() for the confluent path"
-        )
-    mats = _bessel_matrix(k, lam, ts)
-    if k.k_m == 0:
-        return [_reduce(mat, 0) for mat in mats]
-    num, vdm = constant_B(k), _pi(lam**2)
-    return [_reduce(mat, 1, num, vdm * delta_m_rational(t)) for mat, t in zip(mats, ts)]
-
-
-def _confluent_det_ratio(fn, lam: np.ndarray,
-                         ts: np.ndarray) -> list[tuple[complex, np.ndarray]]:
-    """det(f(x_i))/prod_{i<j}(x_i - x_j) in the variables x_i = lambda_i^2,
-    with the unique coinciding pair replaced by a divided-difference row
-    (first-order confluence), for every point of the stack ts.
-    fn(lam_scalar, t_scalar) gives one matrix entry; the rows are gathered
-    from one table of fn over the distinct values of ts."""
-    pairs = _degenerate_pairs(lam)
-    if len(pairs) != 1:
-        raise DegenerateLambda(
-            f"{len(pairs)} coinciding pairs; only single confluence is supported"
-        )
-    (i, j) = pairs[0]
-    x = lam.astype(complex) ** 2
-    xbar = 0.5 * (x[i] + x[j])
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    h = CONFLUENT_STEP * scale
-    n = len(lam)
-    # row i at xbar; row j the central difference at xbar, from the extra
-    # row n
-    lams = [cmath.sqrt(xbar) if r == i else lam[r] for r in range(n)]
-    lams[j] = cmath.sqrt(xbar + h)
-    table, inv = _table(fn, lams + [cmath.sqrt(xbar - h)], ts)
-    table[j] = (table[j] - table[n]) / (2.0 * h)
-    xeff = x.copy()
-    xeff[i] = xeff[j] = xbar
-    prod_rest = 1.0 + 0.0j
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (a, b) == (i, j):
-                continue
-            prod_rest *= xeff[a] - xeff[b]
-    # row_j -> f'(xbar) carries a 1/(x_j - x_i) relative to the vanishing
-    # Vandermonde factor (x_i - x_j); the leftover sign is -1
-    return [(-complex(np.linalg.det(mat)) / prod_rest, mat)
-            for mat in _gather(table[:n], inv)]
-
-
-def _confluent(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
-               target: str) -> list[EvalResult]:
-    """F or BesselBC at k_m = 1 with one coinciding pair
-    lambda_i^2 = lambda_j^2: det / prod(lambda_i^2 - lambda_j^2) through
-    the confluent divided-difference determinant."""
-    if target == "F":
-        require_chamber(ts)
-        fn = _phi_entry(k)
-        denoms = [delta_m(t) for t in ts]
-    else:
-        _require_bessel_domain(lam, ts)
-        fn = _bessel_entry(k)
-        denoms = [delta_m_rational(t) for t in ts]
-    num = constant_B(k)
-    return [
-        EvalResult(complex(num * ratio / denom),
-                   _cond(mat, complex(np.linalg.det(mat))), True)
-        for (ratio, mat), denom in zip(_confluent_det_ratio(fn, lam, ts), denoms)
-    ]
+    if k.k_m == 1:
+        return _det_reduced(k, lam, ts, True)
+    return [_reduce(mat, 0) for mat in _bessel_matrix(k, lam, ts)]
 
 
 def evaluate(req: EvalRequest):
-    """Dispatch on target and k_m; for k_m = 1 determinant targets with a
-    single coinciding pair lambda_i^2 = lambda_j^2 the ratio
-    det / prod(lambda_i^2 - lambda_j^2) is replaced by a confluent
-    divided-difference determinant.  One EvalResult for one point, a
-    list of them for a stack."""
+    """Dispatch on target and k_m.  One EvalResult for one point, a list
+    of them for a stack."""
     k = req.k
     lam, t = np.asarray(req.lam, dtype=complex), np.asarray(req.t, dtype=float)
     ts = np.atleast_2d(t)
@@ -400,10 +367,8 @@ def evaluate(req: EvalRequest):
         out = [EvalResult(v, 1.0, False) for v in phi_product(k, lam, ts)]
     elif req.target == "FTheta":
         out = f_theta(k, lam, ts)
-    elif k.k_m == 0:
-        out = (f_permanent if req.target == "F" else bessel_bcn)(k, lam, ts)
-    elif not _degenerate_pairs(lam):
-        out = (f_determinant if req.target == "F" else bessel_bcn)(k, lam, ts)
+    elif req.target == "BesselBC":
+        out = bessel_bcn(k, lam, ts)
     else:
-        out = _confluent(k, lam, ts, req.target)
+        out = (f_permanent if k.k_m == 0 else f_determinant)(k, lam, ts)
     return out[0] if t.ndim == 1 else out

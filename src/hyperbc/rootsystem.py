@@ -96,17 +96,24 @@ def rho(k) -> np.ndarray:
     )
 
 
+def _pi(x, block=None):
+    """prod_{i<j} (x_i - x_j), or, given a block label per coordinate, the
+    product over the pairs in different blocks."""
+    v = 1.0
+    n = len(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block is None or block[i] != block[j]:
+                v *= x[i] - x[j]
+    return v
+
+
 def delta_m(t) -> float:
     """Middle-root Weyl denominator
     2^(n(n-1)/2) prod_{i<j} (cosh 2t_i - cosh 2t_j)."""
     t = np.asarray(t, dtype=float)
     n = len(t)
-    c = np.cosh(2.0 * t)
-    val = 2.0 ** (0.5 * n * (n - 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= c[i] - c[j]
-    return float(val)
+    return float(2.0 ** (0.5 * n * (n - 1)) * _pi(np.cosh(2.0 * t)))
 
 
 def delta_m_rational(t) -> float:
@@ -114,11 +121,8 @@ def delta_m_rational(t) -> float:
     eps^(-n(n-1)) delta_m(a_{eps t})."""
     t = np.asarray(t, dtype=float)
     n = len(t)
-    val = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= 4.0 * (t[i] ** 2 - t[j] ** 2)
-    return float(val)
+    # scalar squares: numpy's array square can differ in the last bit
+    return float(4.0 ** (n * (n - 1) // 2) * _pi([x**2 for x in t]))
 
 
 def weyl_elements(n: int):
@@ -194,15 +198,10 @@ def c_normalized(k: MultiplicityBC, lam) -> complex:
     if k.k_m == 0:
         val = complex(1.0 / math.factorial(n))
     else:
-        num = 1.0 + 0.0j
-        den = 1.0 + 0.0j
-        for i in range(n):
-            for j in range(i + 1, n):
-                num *= rh[i] ** 2 - rh[j] ** 2
-                den *= lam[i] ** 2 - lam[j] ** 2
+        den = _pi([x**2 for x in lam])  # scalar squares, as in delta_m_rational
         if abs(den) == 0.0:
             raise PoleError("middle c-factor pole in normalized c-function")
-        val = num / den
+        val = _pi([x**2 for x in rh]) / den
     for p in range(n):
         den = _c_shortlong(k, rh[p])
         if abs(den) == 0.0:

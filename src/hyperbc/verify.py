@@ -18,6 +18,7 @@ from .hyper import bessel_bcn, f_determinant, f_permanent, f_theta, phi_product
 from .jacobi import jacobi_phi
 from .rootsystem import (
     MultiplicityBC,
+    _pi,
     apply_weyl,
     c_normalized,
     c_tilde,
@@ -299,11 +300,7 @@ def _suite_ftheta(records):
         if km == 0:
             ref = complex(_kernels.ryser_permanent(ew)) / math.factorial(n)
         else:
-            pi_r = np.prod([rh[i] - rh[j] for i in range(n) for j in range(i + 1, n)])
-            pi_l = np.prod([lam[i] - lam[j] for i in range(n) for j in range(i + 1, n)])
-            e2t = np.exp(2.0 * t)
-            pi_t = np.prod([e2t[i] - e2t[j] for i in range(n) for j in range(i + 1, n)])
-            ref = pi_r / pi_l * complex(np.linalg.det(ew)) / pi_t
+            ref = _pi(rh) / _pi(lam) * complex(np.linalg.det(ew)) / _pi(np.exp(2.0 * t))
         errs = []
         for u in (4.0, 6.0, 8.0):
             scaled = cmath.exp(complex(np.sum((rh - lam) * u))) * f_theta(k, lam, t + u).value

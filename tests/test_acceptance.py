@@ -127,21 +127,25 @@ class TestAcceptance:
         t0 = time.perf_counter()
         k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
         t = np.array([1.0, 0.4])
+
+        def at(s):
+            return evaluate(EvalRequest(k=k, lam=np.array([2.0, 2.0 + s]), t=t, target="F"))
+
         svals = np.logspace(-10, -2, 17)
-        results = []
-        for s in svals:
-            req = EvalRequest(k=k, lam=np.array([2.0, 2.0 + s]), t=t, target="F")
-            results.append(evaluate(req))
-        flags = [r.degenerate_path for r in results]
-        # both branches must actually be exercised along the scan
-        assert flags[0] and not flags[-1]
-        worst = 0.0
-        for a, b, fa, fb in zip(results, results[1:], flags, flags[1:]):
-            if fa != fb:
-                worst = max(worst, rel(a.value, b.value))
+        flags = [at(s).degenerate_path for s in svals]
+        # both branches must actually be exercised along the scan, with
+        # one switch between them
+        assert flags[0] and not flags[-1] and flags == sorted(flags, reverse=True)
+        # bisect to the switch: the two sides, 1e-9 apart relative in s,
+        # differ by the change of F there (about 1e-14) and the error of
+        # either path
+        lo, hi = svals[flags.index(False) - 1], svals[flags.index(False)]
+        while hi / lo - 1.0 > 1e-9:
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if at(mid).degenerate_path else (lo, mid)
+        worst = rel(at(lo).value, at(hi).value)
         dt = time.perf_counter() - t0
-        _report(11, "continuity across the confluent-fallback switch", worst,
-                1e-5, dt)
+        _report(11, "continuity across the degenerate-path switch", worst, 1e-10, dt)
 
     def test_criterion_12_scalar_layer_invariants(self):
         t0 = time.perf_counter()

@@ -2,6 +2,7 @@
 bookkeeping, tail control, and agreement with the independent rank-one
 evaluation through the Gauss function."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hyperbc import _kernels
 from hyperbc.errors import ChamberError, SmallDenominator, TailTooLarge
 from hyperbc.hcseries import (
-    _in_lattice,
     _lattice_points,
+    _positive_roots,
     compute_coeffs,
     root_data,
     series_eval,
@@ -26,11 +27,14 @@ def rel(a, b):
 
 class TestLattice:
     def test_membership(self):
-        assert _in_lattice(np.array([1.0, 0.0]), 2)
-        assert _in_lattice(np.array([1.0, -1.0]), 2)  # e_1 - e_2
-        assert _in_lattice(np.array([0.0, 1.0]), 2)  # e_2 = 0 (e_1 - e_2) + 1 e_2
-        assert not _in_lattice(np.array([-1.0, 0.0]), 2)
-        assert not _in_lattice(np.array([0.5, 0.5]), 2)
+        # the lattice points are the integer vectors whose partial sums, the
+        # simple-root coefficients, are non-negative, up to height 4
+        index = root_data(2, 4).index
+        assert (1, 0) in index and (1, -1) in index  # e_1, e_1 - e_2
+        assert (0, 1) in index  # e_2 = 0 (e_1 - e_2) + 1 e_2
+        for v in itertools.product(range(-5, 6), repeat=2):
+            c = np.cumsum(v)
+            assert (v in index) == (c.min() >= 0 and c.sum() <= 4)
 
     def test_counts(self):
         vecs, heights = _lattice_points(2, 4)
@@ -41,6 +45,26 @@ class TestLattice:
     def test_sorted_by_height(self):
         _, heights = _lattice_points(3, 5)
         assert np.all(np.diff(heights) >= 0)
+
+    @pytest.mark.parametrize("n, order", [(1, 12), (2, 12), (3, 8), (4, 5)])
+    def test_root_data_matches_loop(self, n, order):
+        # the edge tables, point by point, root by root and j = 1, 2, ...
+        # while mu - j alpha is a lattice point
+        vecs, _ = _lattice_points(n, order)
+        index = {tuple(map(int, v)): i for i, v in enumerate(vecs)}
+        starts, roots_of, srcs_of = [0], [], []
+        for v in vecs:
+            for r, alpha in enumerate(_positive_roots(n)[0]):
+                j = 1
+                while (src := index.get(tuple(map(int, v - j * alpha)))) is not None:
+                    roots_of.append(r)
+                    srcs_of.append(src)
+                    j += 1
+            starts.append(len(roots_of))
+        d = root_data(n, order)
+        assert d.index == index
+        for got, ref in ((d.starts, starts), (d.roots_of, roots_of), (d.srcs_of, srcs_of)):
+            assert np.array_equal(got, ref)
 
     def test_root_data_tables_consistent(self):
         data = root_data(2, 6)

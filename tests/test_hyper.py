@@ -1,13 +1,17 @@
 """Closed-form evaluators: determinant/permanent forms, product form,
-partial Weyl-sum spherical function, rational limit, and the confluent
-fallback for coinciding spectral parameters.
+partial Weyl-sum spherical function, rational limit, and the divided
+differences that take coinciding spectral parameters, walls and the origin.
 
 Frozen references computed with an arbitrary-precision oracle using the
 same closed formulas (independent implementation, 40+ digits); confluent
-references via the oracle at a split of 1e-18."""
+references via the oracle at a split of 1e-18.  The property tests draw
+against the mpmath reference of tests/reference.py."""
 
 import numpy as np
 import pytest
+import reference
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperbc.errors import (
     ChamberError,
@@ -75,12 +79,15 @@ class TestDeterminant:
         # where both are well-conditioned
         from hyperbc.hyper import _f_det_divided
 
-        # t_1 = 0.8 lies above the automatic small-t threshold, so
-        # f_determinant takes the plain route there; the series route is
-        # still convergent (sinh^2 t_1 < 1) and must agree
+        # s_1 = sinh^2 0.8 lies above ORIGIN_S, so f_determinant takes the
+        # plain route there; the reducer, with s_2 in the cluster at the
+        # origin and an ODE step to s_1, must agree, for BesselBC as well
         t = np.array([0.8, 0.3])
         plain = f_determinant(K1, LAM2, t).value
         direct = _f_det_divided(K1, LAM2.astype(complex), t).value
+        assert rel(direct, plain) < 1e-11
+        plain = bessel_bcn(K1, LAM2, t).value
+        direct = _f_det_divided(K1, LAM2.astype(complex), t, bessel=True).value
         assert rel(direct, plain) < 1e-11
 
     def test_rank_one_reduces_to_jacobi(self):
@@ -96,9 +103,11 @@ class TestDeterminant:
         with pytest.raises(ChamberError):
             f_determinant(K1, LAM2, [0.4, 1.0])
 
-    def test_degenerate_lambda_rejected(self):
-        with pytest.raises(DegenerateLambda):
-            f_determinant(K1, [2.0, 2.0], T2)
+    def test_coinciding_lambda_value(self):
+        # lambda_1^2 = lambda_2^2: rows of divided differences in lambda^2
+        res = f_determinant(K1, [2.0, 2.0], T2)
+        assert res.degenerate_path
+        assert rel(res.value, F2_CONFLUENT_REF) < 1e-12
 
     def test_divided_path_independent_of_layout(self):
         # the CLI passes a reversed view of a sorted point; a contiguous
@@ -188,29 +197,29 @@ class TestEvaluate:
         req = EvalRequest(k=K1, lam=np.array([2.0, 2.0]), t=T2, target="F")
         res = evaluate(req)
         assert res.degenerate_path
-        assert rel(res.value, F2_CONFLUENT_REF) < 1e-7
+        assert rel(res.value, F2_CONFLUENT_REF) < 1e-12
 
     def test_confluent_bessel(self):
         req = EvalRequest(k=K1, lam=np.array([2.0, 2.0]), t=T2, target="BesselBC")
         res = evaluate(req)
         assert res.degenerate_path
-        assert rel(res.value, BESS_CONFLUENT_REF) < 1e-7
+        assert rel(res.value, BESS_CONFLUENT_REF) < 1e-12
 
     @pytest.mark.parametrize("lam", [[2.0, 1.0], [2.0, 2.0]])
     def test_bessel_complex_alpha_rejected(self, lam):
-        # the confluent path (lambda = (2, 2)) takes the same entry
-        # function, with its real-alpha check, as the plain determinant
+        # the divided-difference path (lambda = (2, 2)) checks alpha as the
+        # plain determinant does
         k = MultiplicityBC(k_s=1.0 + 0.5j, k_m=1, k_l=0.5, n=2)
         req = EvalRequest(k=k, lam=np.array(lam), t=T2, target="BesselBC")
         with pytest.raises(ParameterError, match="real alpha"):
             evaluate(req)
 
-    def test_triple_confluence_rejected(self):
-        k3 = K1_3
-        req = EvalRequest(k=k3, lam=np.array([2.0, 2.0, 2.0]), t=np.array([1.5, 0.9, 0.4]),
-                          target="F")
-        with pytest.raises(DegenerateLambda):
-            evaluate(req)
+    @pytest.mark.parametrize("target", ["F", "BesselBC"])
+    def test_triple_confluence_value(self, target):
+        lam, t = [2.0, 2.0, 2.0], [1.5, 0.9, 0.4]
+        res = evaluate(EvalRequest(k=K1_3, lam=np.array(lam), t=np.array(t), target=target))
+        assert res.degenerate_path
+        assert rel(res.value, reference.value(target, 1.0, 0.5, lam, t)) < 1e-12
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ParameterError):
@@ -257,3 +266,48 @@ class TestStacks:
     def test_stack_names_first_point_outside_chamber(self):
         with pytest.raises(ChamberError, match=r"\[0\.4 1\. \]"):
             f_determinant(K1, LAM2, np.array([[1.0, 0.4], [0.4, 1.0], [0.3, 0.3]]))
+
+
+@st.composite
+def _clustered(draw, kind):
+    """(target, k_s, k_l, lambda, t) at k_m = 1, n <= 4, with lambda_i^2
+    coinciding in a pair or a triple, a wall 1e-7 wide, or every t_j near
+    the origin."""
+    n = draw(st.integers(3 if kind == "triple" else 2, 4))
+    target = draw(st.sampled_from(["F", "BesselBC"]))
+    ks, kl = draw(st.floats(0.6, 1.4)), draw(st.floats(0.3, 1.0))
+    re = draw(st.lists(st.floats(0.5, 6.0), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)) \
+        if draw(st.booleans()) else [0.0] * n
+    lam = [complex(a, b) for a, b in zip(re, im)]
+    top = 0.6 if kind == "origin" else 2.5
+    t = sorted(draw(st.lists(st.floats(0.001, top), min_size=n, max_size=n)), reverse=True)
+    i = draw(st.integers(0, n - 2))
+    if kind == "pair":
+        lam[i + 1] = draw(st.sampled_from([1, -1])) * lam[draw(st.integers(0, i))]
+    elif kind == "triple":
+        lam[i + 1] = lam[i] = lam[draw(st.integers(0, n - 1))]
+    elif kind == "wall":
+        t[i + 1] = t[i] - 1e-7
+    assume(all(a > b for a, b in zip(t, t[1:])) and t[-1] > 0.0)
+    return target, ks, kl, lam, t
+
+
+class TestAgainstReference:
+    """Every clustered point within 1e-13 times its condition estimate of
+    the mpmath reference."""
+
+    @pytest.mark.parametrize("kind, examples", [
+        ("pair", 16), ("triple", 8), ("wall", 16), ("origin", 16),
+    ])
+    def test_clustered_points(self, kind, examples):
+        @settings(max_examples=examples, deadline=None, derandomize=True)
+        @given(_clustered(kind))
+        def check(case):
+            target, ks, kl, lam, t = case
+            k = MultiplicityBC(k_s=ks, k_m=1, k_l=kl, n=len(lam))
+            res = evaluate(EvalRequest(k=k, lam=np.array(lam), t=np.array(t), target=target))
+            err = rel(res.value, reference.value(target, ks, kl, lam, t))
+            assert err <= 1e-13 * res.condition_estimate
+
+        check()
