@@ -163,9 +163,11 @@ def _phi_matrix(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray) -> np.ndarra
 
 
 def _knots(t: np.ndarray, bessel: bool) -> list[float]:
-    """s_j = t_j^2 for BesselBC, sinh^2 t_j for F (math.sinh: numpy's
-    vectorised sinh can differ in the last bit between memory layouts)."""
-    return [x * x for x in t.tolist()] if bessel else [math.sinh(x) ** 2 for x in t.tolist()]
+    """s_j = t_j^2 for BesselBC, sinh^2 t_j for F, descending, as F's chamber
+    has them; det(g(x_i, s_j)) / V(s) is symmetric in s.  math.sinh: numpy's
+    vectorised sinh can differ in the last bit between memory layouts."""
+    s = [x * x for x in t.tolist()] if bessel else [math.sinh(x) ** 2 for x in t.tolist()]
+    return sorted(s, reverse=True)
 
 
 def _near(a: float, b: float) -> bool:
@@ -229,23 +231,23 @@ def _taylor(tau, y, link, c, sigma, rho1, s0, scale, r, dmin):
     raise NonConvergence("divided-difference series did not converge")
 
 
-def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, t: np.ndarray,
-                   bessel: bool = False) -> EvalResult:
+def _f_det_divided(k: MultiplicityBC, lam: np.ndarray, groups: list[list[int]],
+                   s: list[float], bessel: bool = False) -> EvalResult:
     """B det(g(x_i, s_j)) / [2^(n(n-1)) V(x) V(s)], x = lambda^2 and
     V(y) = prod_{i<j} (y_i - y_j), for F (s = sinh^2 t) or BesselBC
-    (s = t^2), by divided differences on both sides.  Over a cluster of x
+    (s = t^2), given the clusters of x (_x_clusters) and the knots s
+    (_knots), by divided differences on both sides.  Over a cluster of x
     the rows are g[x_1..x_q]; over a cluster of knots the columns are
     g[s_1..s_q] = sum_d T_{d+q-1} h_d(s_1 - s0, ..., s_q - s0), with T_d the
     Taylor coefficients at its centre s0 and h_d the complete homogeneous
     polynomials.  Nothing cancels, and V keeps the pairs across clusters.
     T_d comes from the series at 0 out to ORIGIN_S, then from steps
     s -> 1.5 s of the ODE that stop at every centre."""
-    n, s = k.n, _knots(t, bessel)
+    n, clusters = k.n, _s_clusters(s)
     if bessel:
         c, sigma, rho1 = _bessel_alpha(k) + 1.0, 0.0, 0.0
     else:
         c, sigma, rho1 = k.alpha + 1.0, 1.0, k.jacobi.rho1
-    groups, clusters = _x_clusters(lam), _s_clusters(s)
     y = [lam[i] ** 2 for g in groups for i in g]
     link = [float(q > 0) for g in groups for q in range(len(g))]
     den = 2.0 ** (n * (n - 1)) * _pi(y, [g[0] for g in groups for _ in g]) * _pi(
@@ -282,15 +284,14 @@ def _det_reduced(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
     BesselBC at every point: the plain det over one table of entries, or
     _f_det_divided at a point with a cluster of lambda_i^2 or of knots, or
     with every knot below ORIGIN_S."""
-    whole = len(_x_clusters(lam)) < k.n
-    routed = [whole or s[0] < ORIGIN_S or any(map(_near, s, s[1:]))
-              for s in (_knots(t, bessel) for t in ts)]
+    groups, knots = _x_clusters(lam), [_knots(t, bessel) for t in ts]
+    routed = [len(groups) < k.n or s[0] < ORIGIN_S or any(map(_near, s, s[1:])) for s in knots]
     plain = ts[np.logical_not(routed)] if any(routed) else ts
     mats = iter((_bessel_matrix if bessel else _phi_matrix)(k, lam, plain) if len(plain) else ())
     num, vdm = constant_B(k), _pi(lam**2)
     delta = delta_m_rational if bessel else delta_m
-    return [_f_det_divided(k, lam, t, bessel) if r else _reduce(next(mats), 1, num, vdm * delta(t))
-            for t, r in zip(ts, routed)]
+    return [_f_det_divided(k, lam, groups, s, bessel) if r
+            else _reduce(next(mats), 1, num, vdm * delta(t)) for t, s, r in zip(ts, knots, routed)]
 
 
 @_stacked

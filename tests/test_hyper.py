@@ -77,17 +77,17 @@ class TestDeterminant:
     def test_paths_agree_at_moderate_t(self):
         # the divided-difference route and the plain determinant must agree
         # where both are well-conditioned
-        from hyperbc.hyper import _f_det_divided
+        from hyperbc.hyper import _f_det_divided, _knots, _x_clusters
 
         # s_1 = sinh^2 0.8 lies above ORIGIN_S, so f_determinant takes the
         # plain route there; the reducer, with s_2 in the cluster at the
         # origin and an ODE step to s_1, must agree, for BesselBC as well
-        t = np.array([0.8, 0.3])
+        t, lam = np.array([0.8, 0.3]), LAM2.astype(complex)
         plain = f_determinant(K1, LAM2, t).value
-        direct = _f_det_divided(K1, LAM2.astype(complex), t).value
+        direct = _f_det_divided(K1, lam, _x_clusters(lam), _knots(t, False)).value
         assert rel(direct, plain) < 1e-11
         plain = bessel_bcn(K1, LAM2, t).value
-        direct = _f_det_divided(K1, LAM2.astype(complex), t, bessel=True).value
+        direct = _f_det_divided(K1, lam, _x_clusters(lam), _knots(t, True), bessel=True).value
         assert rel(direct, plain) < 1e-11
 
     def test_rank_one_reduces_to_jacobi(self):
@@ -179,6 +179,14 @@ class TestBessel:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             bessel_bcn(K1, [2.55, 0.0], T2)
+
+    @pytest.mark.parametrize("lam", [[2.55, 1.07], [2.0, 2.0]])
+    @pytest.mark.parametrize("t", [[0.4, 1.0], [1.0, 2.0], [0.5, -1.0], [-0.3, 0.5]])
+    def test_any_order_and_sign_of_t(self, lam, t):
+        # BesselBC has no chamber: it is even in each t_j and symmetric in
+        # their order, on the plain and the divided-difference path alike
+        got = bessel_bcn(K1, lam, t).value
+        assert rel(got, bessel_bcn(K1, lam, sorted(np.abs(t), reverse=True)).value) < 1e-13
 
     def test_scaling_symmetry(self):
         # the rational limit depends on lambda and t through the products
@@ -272,7 +280,7 @@ class TestStacks:
 def _clustered(draw, kind):
     """(target, k_s, k_l, lambda, t) at k_m = 1, n <= 4, with lambda_i^2
     coinciding in a pair or a triple, a wall 1e-7 wide, or every t_j near
-    the origin."""
+    the origin; BesselBC's t unordered and signed."""
     n = draw(st.integers(3 if kind == "triple" else 2, 4))
     target = draw(st.sampled_from(["F", "BesselBC"]))
     ks, kl = draw(st.floats(0.6, 1.4)), draw(st.floats(0.3, 1.0))
@@ -290,6 +298,9 @@ def _clustered(draw, kind):
     elif kind == "wall":
         t[i + 1] = t[i] - 1e-7
     assume(all(a > b for a, b in zip(t, t[1:])) and t[-1] > 0.0)
+    if target == "BesselBC":
+        # no chamber there: t in any order, with any signs
+        t = [draw(st.sampled_from([1, -1])) * v for v in draw(st.permutations(t))]
     return target, ks, kl, lam, t
 
 
