@@ -1,4 +1,4 @@
-"""Hot numeric kernels: log-Gamma, the Gauss and Bessel series, Ryser's
+"""Hot numeric kernels: log-Gamma, the Gauss and Bessel series, the
 permanent and the Harish-Chandra coefficient recursion.  They are kept in
 one module so each can be timed and replaced on its own."""
 
@@ -90,38 +90,23 @@ def bessel_series(alpha, x, maxterms):
     return s, maxterms
 
 
-def ryser_permanent(a):
-    """Permanent of a complex square matrix via Ryser's formula (Gray code)."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    row = np.zeros(n, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    g_prev = 0
-    nbits = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        diff = g ^ g_prev
-        j = 0
-        while (diff >> j) & 1 == 0:
-            j += 1
-        if (g >> j) & 1:
-            nbits += 1
-            for i in range(n):
-                row[i] += a[i, j]
-        else:
-            nbits -= 1
-            for i in range(n):
-                row[i] -= a[i, j]
-        g_prev = g
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= row[i]
-        if (n - nbits) % 2 == 0:
-            total += prod
-        else:
-            total -= prod
-    return total
+def permanent(a):
+    """Permanent of a square matrix by the row expansion memoised over
+    column subsets: dp[S] = sum_{j in S} a[|S|-1, j] dp[S - {j}], with
+    dp[{}] = 1, so the empty matrix gives 1.  O(n 2^n), and no term is
+    subtracted: on a non-negative matrix nothing cancels."""
+    rows = a.tolist()
+    dp = [1.0] * (1 << len(rows))
+    for mask in range(1, len(dp)):
+        row = rows[mask.bit_count() - 1]
+        s = 0.0
+        m = mask
+        while m:
+            low = m & -m
+            s += row[low.bit_length() - 1] * dp[mask ^ low]
+            m ^= low
+        dp[mask] = s
+    return dp[-1]
 
 
 def hc_coeffs(mu_vecs, starts, roots_of, srcs_of, root_vecs, kw, lam, rho):

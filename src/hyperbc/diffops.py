@@ -37,10 +37,6 @@ def _dir_d1(f, t, d, h):
     return (f(t + h * d) - f(t - h * d)) / (2.0 * h)
 
 
-def _dir_d2(f, t, d, h, f0):
-    return (f(t + h * d) - 2.0 * f0 + f(t - h * d)) / (h * h)
-
-
 def _check_singularity(k: MultiplicityBC, t: np.ndarray, h: float) -> None:
     margin = 10.0 * h
     n = len(t)
@@ -71,8 +67,9 @@ def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, coth, g0):
     its rational limit _coth_rational."""
     ks, kl = complex(k.k_s), complex(k.k_l)
     e = np.eye(len(t))[j]
-    d1 = _dir_d1(g, t, e, h)
-    d2 = _dir_d2(g, t, e, h, g0)
+    gp, gm = g(t + h * e), g(t - h * e)
+    d1 = (gp - gm) / (2.0 * h)
+    d2 = (gp - 2.0 * g0 + gm) / (h * h)
     coef = 2.0 * (ks * coth(t[j]) + 2.0 * kl * coth(2.0 * t[j]))
     return d2 + coef * d1
 

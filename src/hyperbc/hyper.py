@@ -111,10 +111,10 @@ def _require_bessel_domain(lam: np.ndarray, ts: np.ndarray) -> None:
 
 
 def _cond(mat: np.ndarray, result: complex) -> float:
-    """Cancellation heuristic: ratio of the no-cancellation magnitude of the
-    alternating/plain sum to the achieved result."""
-    bound = abs(_kernels.ryser_permanent(np.abs(mat) + 0.0j))
-    return float(bound / max(1e-300, abs(result)))
+    """perm(|mat|) / |result|: perm(|mat|) sums the magnitudes of every
+    term of det(mat) and of perm(mat), so the ratio bounds what either
+    reduction can lose to cancellation."""
+    return float(_kernels.permanent(np.abs(mat)) / max(1e-300, abs(result)))
 
 
 def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
@@ -123,7 +123,7 @@ def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
     k_m = 0, num * det(mat) / den for k_m = 1, with the cancellation
     estimate of either."""
     if k_m == 0:
-        red = _kernels.ryser_permanent(mat)
+        red = _kernels.permanent(mat)
         value = red / math.factorial(len(mat))
     else:
         red = complex(np.linalg.det(mat))

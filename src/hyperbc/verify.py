@@ -298,7 +298,7 @@ def _suite_ftheta(records):
         rh = rho(k)
         ew = np.exp(np.outer(lam, t))
         if km == 0:
-            ref = complex(_kernels.ryser_permanent(ew)) / math.factorial(n)
+            ref = complex(_kernels.permanent(ew)) / math.factorial(n)
         else:
             ref = _pi(rh) / _pi(lam) * complex(np.linalg.det(ew)) / _pi(np.exp(2.0 * t))
         errs = []

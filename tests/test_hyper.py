@@ -7,12 +7,16 @@ same closed formulas (independent implementation, 40+ digits); confluent
 references via the oracle at a split of 1e-18.  The property tests draw
 against the mpmath reference of tests/reference.py."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyperbc import _kernels
 from hyperbc.errors import (
     ChamberError,
     DegenerateLambda,
@@ -55,6 +59,11 @@ BESS_CONFLUENT_REF = 1.4556642311438184  # lambda = (2, 2)
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _permutation_sum(a):
+    n = len(a)
+    return sum(math.prod(a[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
 
 
 class TestDeterminant:
@@ -137,6 +146,21 @@ class TestPermanent:
     def test_degenerate_lambda_harmless(self):
         v = f_permanent(K0, [2.0, 2.0], T2).value
         assert rel(v, jacobi_phi(K0.jacobi, 2.0, 1.0) * jacobi_phi(K0.jacobi, 2.0, 0.4)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_kernel_against_permutation_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert rel(_kernels.permanent(a), _permutation_sum(a)) < 1e-13
+
+    def test_kernel_scales_apart(self):
+        """Columns 10^6 apart in scale, where Ryser's alternating sum of
+        row sums was 3.8e-3 off, and the transpose, whose rows are 10^6
+        apart."""
+        a = np.random.default_rng(5).uniform(0.5, 1.5, (5, 5)) * np.logspace(0, 6, 5)
+        ref = _permutation_sum(a)
+        assert rel(_kernels.permanent(a), ref) < 1e-14
+        assert rel(_kernels.permanent(a.T), ref) < 1e-14
 
 
 class TestProductForm:
@@ -304,9 +328,26 @@ def _clustered(draw, kind):
     return target, ks, kl, lam, t
 
 
+@st.composite
+def _permanent_case(draw, region):
+    """(k_s, k_l, lambda, t) for F at k_m = 0, n <= 5, lambda real or
+    complex; t_1 up to 2.5, or in [2.5, 3.3], where the entries of a row
+    of phi_{lambda_i}(t_j) are orders of magnitude apart."""
+    n = draw(st.integers(2, 5))
+    ks, kl = draw(st.floats(0.6, 1.4)), draw(st.floats(0.3, 1.0))
+    re = draw(st.lists(st.floats(0.5, 6.0), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)) \
+        if draw(st.booleans()) else [0.0] * n
+    t = draw(st.lists(st.floats(0.1, 2.5), min_size=n - 1, max_size=n - 1))
+    t.append(draw(st.floats(0.1, 2.5) if region == "moderate" else st.floats(2.5, 3.3)))
+    t = sorted(t, reverse=True)
+    assume(all(a > b for a, b in zip(t, t[1:])))
+    return ks, kl, [complex(a, b) for a, b in zip(re, im)], t
+
+
 class TestAgainstReference:
-    """Every clustered point within 1e-13 times its condition estimate of
-    the mpmath reference."""
+    """Every clustered point, and every permanent, within 1e-13 times its
+    condition estimate of the mpmath reference."""
 
     @pytest.mark.parametrize("kind, examples", [
         ("pair", 16), ("triple", 8), ("wall", 16), ("origin", 16),
@@ -319,6 +360,19 @@ class TestAgainstReference:
             k = MultiplicityBC(k_s=ks, k_m=1, k_l=kl, n=len(lam))
             res = evaluate(EvalRequest(k=k, lam=np.array(lam), t=np.array(t), target=target))
             err = rel(res.value, reference.value(target, ks, kl, lam, t))
+            assert err <= 1e-13 * res.condition_estimate
+
+        check()
+
+    @pytest.mark.parametrize("region", ["moderate", "large"])
+    def test_permanent_points(self, region):
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(_permanent_case(region))
+        def check(case):
+            ks, kl, lam, t = case
+            k = MultiplicityBC(k_s=ks, k_m=0, k_l=kl, n=len(lam))
+            res = evaluate(EvalRequest(k=k, lam=np.array(lam), t=np.array(t), target="F"))
+            err = rel(res.value, reference.permanent_value(ks, kl, lam, t))
             assert err <= 1e-13 * res.condition_estimate
 
         check()
