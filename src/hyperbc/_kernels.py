@@ -109,33 +109,39 @@ def permanent(a):
     return dp[-1]
 
 
-def hc_coeffs(mu_vecs, starts, roots_of, srcs_of, root_vecs, kw, lam, rho):
-    """Harish-Chandra series coefficients by the height recursion.
+def hc_coeffs(mu_vecs, starts, roots_of, srcs_of, root_vecs, kw, lams, rho):
+    """Harish-Chandra series coefficients by the height recursion, for
+    every row of a stack lams (B, n) at once: returns (B, P).
 
-    mu_vecs: integer lattice points as float vectors, sorted by height,
-    index 0 is the origin.  (starts, roots_of, srcs_of) flatten, per point
-    p, the contributing pairs (root, index of mu - j*root), j >= 1; the
-    weight needs j only through the source mu - j*root.  lam and rho are
-    in Euclidean coordinates.  Every point of height h depends only on
-    lower heights, so each shell is one gather and one segment sum.  The
-    caller has checked the denominators (mu,mu) - 2(lambda,mu) for
-    genericity; none may vanish.
+    mu_vecs: the P integer lattice points as float vectors, sorted by
+    height, index 0 is the origin.  (starts, roots_of, srcs_of) flatten,
+    per point p, the contributing pairs (root, index of mu - j*root),
+    j >= 1; the weight needs j only through the source mu - j*root.  lams
+    and rho are in Euclidean coordinates.  Every point of height h depends
+    only on lower heights, so each shell is one gather and one segment sum
+    over the whole stack, and its (B, edges) weights are formed only when
+    the shell is reached.  The caller has checked the denominators
+    (mu,mu) - 2(lambda,mu) for genericity; none may vanish.
     """
-    npts = len(mu_vecs)
-    den = np.sum(mu_vecs * mu_vecs, axis=1) - 2.0 * (mu_vecs @ lam)
+    den = np.sum(mu_vecs * mu_vecs, axis=1) - 2.0 * (lams @ mu_vecs.T)
     # edge weight -2 k_r (alpha_r, lambda - rho - mu_p + j alpha_r); the
     # source mu_p - j alpha_r makes the lattice part an exact integer
-    weight = (mu_vecs @ root_vecs.T)[srcs_of, roots_of].astype(np.complex128)
-    weight -= (root_vecs @ (lam - rho))[roots_of]
-    weight *= (2.0 * kw)[roots_of]
+    lattice = (mu_vecs @ root_vecs.T)[srcs_of, roots_of].astype(np.complex128)
+    shift = (lams - rho) @ root_vecs.T.astype(np.complex128)
+    kw2 = 2.0 * kw
     heights = np.cumsum(mu_vecs, axis=1).sum(axis=1)
     cuts = np.searchsorted(heights, np.arange(1.0, heights[-1] + 2.0))
-    out = np.zeros(npts, dtype=np.complex128)
-    out[0] = 1.0
+    out = np.zeros(den.shape, dtype=np.complex128)
+    out[:, 0] = 1.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         # every nonzero point has an edge through a simple root, so no
         # segment of reduceat is empty
         e0, e1 = starts[a], starts[b]
-        acc = np.add.reduceat(weight[e0:e1] * out[srcs_of[e0:e1]], starts[a:b] - e0)
-        out[a:b] = acc / den[a:b]
+        r = roots_of[e0:e1]
+        # in place: at most two (B, edges) arrays of the shell are alive
+        weight = shift[:, r]
+        np.subtract(lattice[e0:e1], weight, out=weight)
+        weight *= kw2[r]
+        weight *= out[:, srcs_of[e0:e1]]
+        out[:, a:b] = np.add.reduceat(weight, starts[a:b] - e0, axis=1) / den[:, a:b]
     return out

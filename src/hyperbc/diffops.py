@@ -74,10 +74,10 @@ def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, coth, g0):
     return d2 + coef * d1
 
 
-def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, coth):
+def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, coth, f0):
+    """L(k) f at t by the step-h stencils, given f0 = f(t)."""
     km = k.k_m
     n = len(t)
-    f0 = f(t)
     eye = np.eye(n)
     total = 0.0 + 0.0j
     for j in range(n):
@@ -104,7 +104,8 @@ def apply_L(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig()):
     hypergeometric function the eigenvalue is sum_j (lambda_j^2 - rho_j^2)."""
     t = np.asarray(t, dtype=float)
     _check_singularity(k, t, cfg.h)
-    return _richardson(lambda h: _L_once(k, f, t, h, _coth), cfg.h, cfg.richardson)
+    f0 = f(t)
+    return _richardson(lambda h: _L_once(k, f, t, h, _coth, f0), cfg.h, cfg.richardson)
 
 
 def apply_L_rational(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig()):
@@ -114,8 +115,9 @@ def apply_L_rational(k: MultiplicityBC, f, t, cfg: StencilConfig = StencilConfig
     Bessel function to be an exact eigenfunction with eigenvalue lambda^2."""
     t = np.asarray(t, dtype=float)
     _check_singularity(k, t, cfg.h)
+    f0 = f(t)
     return _richardson(
-        lambda h: _L_once(k, f, t, h, _coth_rational), cfg.h, cfg.richardson
+        lambda h: _L_once(k, f, t, h, _coth_rational, f0), cfg.h, cfg.richardson
     )
 
 

@@ -11,8 +11,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .errors import SmallDenominator, TailTooLarge
-from .rootsystem import require_chamber, rho
+from .errors import ChamberError, SmallDenominator, TailTooLarge
+from .rootsystem import rho
 
 DEFAULT_ORDER = 12
 #: genericity margin on |(mu,mu) - 2(lambda,mu)| in units of max(1, |lambda|^2)
@@ -27,7 +27,7 @@ class RootData:
     n: int
     order: int
     mu_vecs: np.ndarray  # (P, n) integer lattice points, height order
-    heights: np.ndarray  # (P,)
+    last: int  # first row of the last shell, height == order
     starts: np.ndarray
     roots_of: np.ndarray
     srcs_of: np.ndarray
@@ -102,7 +102,7 @@ def root_data(n: int, order: int) -> RootData:
         n=n,
         order=order,
         mu_vecs=mu_vecs,
-        heights=heights,
+        last=int(np.searchsorted(heights, order)),
         starts=np.concatenate([[0], np.cumsum(jmax.sum(axis=1))]),
         roots_of=r,
         srcs_of=srcs,
@@ -116,7 +116,8 @@ def root_data(n: int, order: int) -> RootData:
 
 @dataclass(frozen=True)
 class HCCoeffTable:
-    """Series coefficients Gamma_mu for height(mu) <= order."""
+    """Series coefficients Gamma_mu for height(mu) <= order, of one lambda
+    (lam (n,), coeffs (P,)) or of a stack (lam (B, n), coeffs (B, P))."""
 
     n: int
     order: int
@@ -126,21 +127,31 @@ class HCCoeffTable:
     coeffs: np.ndarray
 
     def coeff(self, simple_coeffs) -> complex:
-        """Gamma_mu for mu given by simple-root coefficients."""
+        """Gamma_mu of a one-lambda table, for mu given by simple-root
+        coefficients."""
         c = tuple(simple_coeffs)
         v = [c[0]] + [c[i] - c[i - 1] for i in range(1, self.n)]
         return complex(self.coeffs[self.data.index[tuple(int(x) for x in v)]])
+
+    def rows(self) -> list:
+        """The one-lambda table of every row of a stack."""
+        return [HCCoeffTable(self.n, self.order, lam, self.rho, self.data, c)
+                for lam, c in zip(self.lam, self.coeffs)]
 
 
 def check_genericity(data: RootData, lam_e: np.ndarray, error=SmallDenominator) -> None:
     """Raise `error` unless every denominator |(mu,mu) - 2(lambda,mu)|,
     mu != 0, exceeds DENOM_MARGIN * max(1, |lambda|^2); lam_e is lambda
-    in Euclidean coordinates."""
-    den = np.abs(np.sum(data.mu_vecs**2, axis=1) - 2.0 * (data.mu_vecs @ lam_e))
-    margin = float(np.min(den[1:])) if len(den) > 1 else math.inf
-    limit = DENOM_MARGIN * max(1.0, float(np.max(np.abs(lam_e)) ** 2))
-    if margin <= limit:
-        raise error(f"genericity margin {margin:.3e} below {limit:.3e}")
+    in Euclidean coordinates, one (n,) or a stack (B, n), each row held
+    to its own margin."""
+    lams = np.atleast_2d(lam_e)
+    den = np.abs(np.sum(data.mu_vecs**2, axis=1) - 2.0 * (lams @ data.mu_vecs.T))
+    margin = np.min(den[:, 1:], axis=1, initial=math.inf)
+    limit = DENOM_MARGIN * np.maximum(1.0, np.max(np.abs(lams), axis=1) ** 2)
+    bad = np.flatnonzero(margin <= limit)
+    if bad.size:
+        b = bad[0]
+        raise error(f"genericity margin {margin[b]:.3e} below {limit[b]:.3e}")
 
 
 def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
@@ -151,7 +162,9 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
     in Euclidean coordinates, with Gamma_0 = 1.
 
     k needs attributes k_s, k_m, k_l, n; k_m may be any complex number here.
-    lam is in the lambda_j = (lambda, 2 e_j) coordinates."""
+    lam is in the lambda_j = (lambda, 2 e_j) coordinates: one lambda (n,),
+    or a stack (B, n) whose rows share one genericity check and one pass
+    of the kernel."""
     lam = np.asarray(lam, dtype=complex)
     n = k.n
     data = root_data(n, order)
@@ -163,7 +176,7 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
         dtype=complex,
     )
     rho_c = rho(k)
-    lam_e = lam / 2.0  # Euclidean coordinates
+    lam_e = np.atleast_2d(lam) / 2.0  # Euclidean coordinates
     rho_e = rho_c / 2.0
     check_genericity(data, lam_e)
     coeffs = _kernels.hc_coeffs(
@@ -176,6 +189,8 @@ def compute_coeffs(k, lam, order: int = DEFAULT_ORDER) -> HCCoeffTable:
         lam_e,
         rho_e,
     )
+    if lam.ndim == 1:
+        coeffs = coeffs[0]
     return HCCoeffTable(n=n, order=order, lam=lam, rho=rho_c, data=data, coeffs=coeffs)
 
 
@@ -187,20 +202,20 @@ class SeriesValue:
 
 def series_eval(table: HCCoeffTable, t, tail_tol: float = 1e-10) -> SeriesValue:
     """sum_{height(mu) <= N} Gamma_mu exp((lambda - rho - mu)(log a_t)) with
-    a last-shell geometric tail estimate.  t must be deep enough in the
-    chamber for the estimate to come in under tail_tol (relative)."""
+    a last-shell geometric tail estimate, for a one-lambda table.  t must
+    be deep enough in the chamber for the estimate to come in under
+    tail_tol (relative)."""
     t = np.asarray(t, dtype=float)
-    require_chamber(t)
-    two_t = 2.0 * t
+    tl = t.tolist()
+    # the open-chamber test of require_chamber, on the list
+    gaps = [a - b for a, b in zip(tl, tl[1:])] + tl[-1:]
+    if not all(g > 0.0 for g in gaps):
+        raise ChamberError(f"t = {t} not in the open chamber")
     lead = np.exp((table.lam - table.rho) @ (t + 0.0j))
-    damp = np.exp(-table.data.mu_vecs @ two_t)
-    terms = table.coeffs * damp
+    terms = table.coeffs * np.exp(-table.data.mu_vecs @ (2.0 * t))
     value = lead * np.sum(terms)
-    last = table.data.heights == table.order
-    g = min(
-        [2.0 * (t[i] - t[i + 1]) for i in range(len(t) - 1)] + [2.0 * t[-1]]
-    )
-    shell = float(np.sum(np.abs(terms[last]))) * abs(lead)
+    g = 2.0 * min(gaps)
+    shell = float(np.sum(np.abs(terms[table.data.last:]))) * abs(lead)
     tail = shell * math.exp(-g) / max(1e-300, 1.0 - math.exp(-g))
     rel_tail = tail / max(1e-300, abs(value))
     if rel_tail > tail_tol:

@@ -21,7 +21,6 @@ from .errors import DegenerateLambda, DomainError, HalfPlaneError, NonConvergenc
 from .hcseries import check_genericity, root_data
 from .jacobi import jacobi_phi, jacobi_phi_asymptotic
 from .rootsystem import (
-    DEGENERACY_TOL,
     MultiplicityBC,
     _pi,
     constant_B,
@@ -38,7 +37,8 @@ GENERICITY_ORDER = 12
 #: the plain path loses all digits as t -> 0
 ORIGIN_S = 0.5
 #: lambda_i^2, or knots s_j, closer than this (relative) form one cluster;
-#: the plain det / Vandermonde ratio loses about eps / gap there
+#: the plain det / Vandermonde ratio loses about eps / gap there, so FTheta,
+#: which has no divided-difference path, refuses such lambda
 CLUSTER_GAP = 1e-4
 
 TARGETS = ("F", "PhiSeries", "FTheta", "BesselBC")
@@ -97,12 +97,13 @@ def _gather(table: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table[:, inv].transpose(1, 0, 2))
 
 
-def _degenerate_pairs(lam: np.ndarray, tol: float = DEGENERACY_TOL):
-    """The pairs i < j with lambda_i^2 = lambda_j^2 up to tol."""
+def _degenerate_pairs(lam: np.ndarray):
+    """The pairs i < j with |lambda_i^2 - lambda_j^2| <= CLUSTER_GAP
+    max(1, |lambda|^2)."""
     scale = max(1.0, float(np.max(np.abs(lam)) ** 2))
     x = lam**2
     return [(i, j) for i in range(len(lam)) for j in range(i + 1, len(lam))
-            if abs(x[i] - x[j]) <= tol * scale]
+            if abs(x[i] - x[j]) <= CLUSTER_GAP * scale]
 
 
 def _require_bessel_domain(lam: np.ndarray, ts: np.ndarray) -> None:
@@ -176,9 +177,9 @@ def _near(a: float, b: float) -> bool:
 
 
 def _x_clusters(lam: np.ndarray) -> list[list[int]]:
-    """The connected components of _degenerate_pairs(lam, CLUSTER_GAP)."""
+    """The connected components of _degenerate_pairs(lam)."""
     label = list(range(len(lam)))
-    for i, j in _degenerate_pairs(lam, CLUSTER_GAP):
+    for i, j in _degenerate_pairs(lam):
         label = [label[i] if q == label[j] else q for q in label]
     return [[i for i, q in enumerate(label) if q == g] for g in dict.fromkeys(label)]
 
@@ -321,10 +322,12 @@ def f_theta(k: MultiplicityBC, lam, ts) -> list[EvalResult]:
     (1/n!) perm(Phi_{-i lambda_i}(t_j)) for k_m = 0."""
     if np.any(lam.real <= 0.0):
         raise HalfPlaneError(f"Re lambda_i > 0 required, got {lam}")
-    # with Re lambda > 0, lambda_i^2 = lambda_j^2 only where lambda_i = lambda_j
+    # with Re lambda > 0, lambda_i^2 = lambda_j^2 only where lambda_i = lambda_j;
+    # det / pi(lambda) loses about eps / gap, so the refusal takes F's cluster gap
     pairs = _degenerate_pairs(lam) if k.k_m == 1 else []
     if pairs:
-        raise DegenerateLambda(f"lambda_{pairs[0][0] + 1} = lambda_{pairs[0][1] + 1}")
+        raise DegenerateLambda(f"lambda_{pairs[0][0] + 1} = lambda_{pairs[0][1] + 1}"
+                               f" within {CLUSTER_GAP:.0e} relative in lambda^2")
     jp = k.jacobi
     mats = _gather(*_table(lambda li, x: jacobi_phi_asymptotic(jp, li, x), lam, ts))
     if k.k_m == 0:

@@ -15,9 +15,6 @@ from .jacobi import JacobiParams
 from .special import _near_nonpositive_int, log_gamma
 
 MAX_RANK = 8
-#: coincidences |lambda_i^2 - lambda_j^2| below this (times max(1, |lambda|^2))
-#: lose all significant digits in the determinant / Vandermonde ratio
-DEGENERACY_TOL = 1e-8
 #: pole tolerance of the c-function factors and of constant_B; named apart
 #: from special.POLE_TOL, the scalar layer's 1e-12, so that neither value
 #: reads as the other
@@ -186,28 +183,40 @@ def c_tilde(k: MultiplicityBC, lam) -> complex:
     return val
 
 
-def c_normalized(k: MultiplicityBC, lam) -> complex:
-    """c(lambda, k) = c_tilde(lambda, k) / c_tilde(rho(k), k).  At k_m = 0
+def c_normalized(k: MultiplicityBC, lam):
+    """c(lambda, k) = c_tilde(lambda, k) / c_tilde(rho(k), k), for one
+    lambda (n,), or an array of the values of a stack (B, n).  At k_m = 0
     the literal middle quotient is 1, but rho(k) degenerates as k_m -> 0
     and the limit of the quotient is 1/n!; the limit is the value that
     makes the Weyl-sum representation of F reproduce the permanent
-    formula, so it is the one used."""
+    formula, so it is the one used.  A stack takes each short+long factor
+    once per distinct coordinate: 2n of them over the Weyl images of one
+    lambda."""
     lam = np.asarray(lam, dtype=complex)
-    n = len(lam)
+    lams = np.atleast_2d(lam)
+    n = lams.shape[1]
     rh = rho(k)
-    if k.k_m == 0:
-        val = complex(1.0 / math.factorial(n))
-    else:
-        den = _pi([x**2 for x in lam])  # scalar squares, as in delta_m_rational
-        if abs(den) == 0.0:
-            raise PoleError("middle c-factor pole in normalized c-function")
-        val = _pi([x**2 for x in rh]) / den
+    rho_factor = []
     for p in range(n):
         den = _c_shortlong(k, rh[p])
         if abs(den) == 0.0:
             raise ZeroDenominator(f"c-tilde vanishes at rho(k) in coordinate {p + 1}")
-        val *= _c_shortlong(k, lam[p]) / den
-    return val
+        rho_factor.append(den)
+    vdm_rho = _pi([x**2 for x in rh])
+    factor = {x: _c_shortlong(k, x) for x in set(lams.ravel())}
+    out = []
+    for row in lams:
+        if k.k_m == 0:
+            val = complex(1.0 / math.factorial(n))
+        else:
+            den = _pi([x**2 for x in row])  # scalar squares, as in delta_m_rational
+            if abs(den) == 0.0:
+                raise PoleError("middle c-factor pole in normalized c-function")
+            val = vdm_rho / den
+        for p in range(n):
+            val *= factor[row[p]] / rho_factor[p]
+        out.append(val)
+    return out[0] if lam.ndim == 1 else np.array(out)
 
 
 def constant_B(k: MultiplicityBC) -> complex:

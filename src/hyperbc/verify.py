@@ -88,14 +88,21 @@ def _f_value(k: MultiplicityBC, lam, t) -> complex:
 
 
 def weyl_sum_tables(k: MultiplicityBC, lam, order: int = ORACLE_ORDER):
-    """(c(w lambda), coefficient table) for every Weyl element, reusable
-    across chamber points."""
+    """(c(w lambda), coefficient table) for every Weyl element, in the
+    order of weyl_elements, reusable across chamber points.  One stacked
+    c_normalized call gives every c(w lambda) from the 2n short+long
+    factors at +-lambda_j.  The tables come in passes of the 2^n sign
+    images of one permutation, which bounds the (2^n, edges) arrays of a
+    shell: at n = 3, order 12, a pass peaks at about 0.7 MB of transient
+    arrays, all 48 images at once at about 3.5 MB."""
     lam = np.asarray(lam, dtype=complex)
-    out = []
-    for w in weyl_elements(k.n):
-        wl = apply_weyl(w, lam)
-        out.append((c_normalized(k, wl), compute_coeffs(k, wl, order)))
-    return out
+    images = np.array([apply_weyl(w, lam) for w in weyl_elements(k.n)])
+    # weyl_elements runs over the signs outside the permutations
+    nperm = math.factorial(k.n)
+    tables = [None] * len(images)
+    for q in range(nperm):
+        tables[q::nperm] = compute_coeffs(k, images[q::nperm], order).rows()
+    return list(zip(c_normalized(k, images), tables))
 
 
 def _weyl_sum_from_tables(tables, t, tail_tol: float) -> complex:

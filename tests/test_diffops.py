@@ -46,6 +46,24 @@ class TestConfig:
 
 
 class TestApplyL:
+    @pytest.mark.parametrize("apply, n, calls", [
+        (apply_L, 2, 17), (apply_L, 3, 37), (apply_L_rational, 2, 17), (apply_L_rational, 3, 37),
+    ])
+    def test_f_at_t_once_for_both_steps(self, apply, n, calls):
+        # per step 2n axis values plus 2n(n-1) middle directional values,
+        # and f(t) once for both Richardson steps
+        k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=n)
+        seen = []
+
+        def f(s):
+            seen.append(tuple(s))
+            return math.exp(-float(np.sum((s - 0.5) ** 2)))
+
+        t = np.array([1.6, 1.0, 0.4][-n:])
+        apply(k, f, t, StencilConfig(h=1e-3))
+        assert len(seen) == calls
+        assert seen.count(tuple(t)) == 1
+
     def test_rank_one_eigenvalue(self):
         # phi is an eigenfunction with eigenvalue lambda^2 - rho^2
         lam = 2.3

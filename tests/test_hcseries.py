@@ -18,7 +18,8 @@ from hyperbc.hcseries import (
     series_eval,
 )
 from hyperbc.jacobi import jacobi_phi_asymptotic
-from hyperbc.rootsystem import MultiplicityBC, rho
+from hyperbc.rootsystem import MultiplicityBC, apply_weyl, c_normalized, rho, weyl_elements
+from hyperbc.verify import weyl_sum_tables
 
 
 def rel(a, b):
@@ -94,17 +95,29 @@ def _hc_coeffs_loop(d, kw, lam, rho):
 class TestCoefficients:
     @pytest.mark.parametrize("n, order", [(1, 30), (2, 20), (3, 12)])
     def test_kernel_matches_point_loop(self, n, order):
-        # the shells sum their edges in another order than the loop, so
-        # agreement is to rounding relative to the largest coefficient
+        # one stack of lambda and its sign images; the shells sum their
+        # edges in another order than the loop, so agreement is to
+        # rounding relative to the largest coefficient of each row
         d = root_data(n, order)
         rng = np.random.default_rng(n)
         kw = rng.uniform(0.3, 1.5, len(d.root_vecs)) + 0.2j
         lam = np.array([4.15 + 0.3j, 2.55, 1.07][:n]) / 2.0
+        lams = np.array([lam * s for s in itertools.product((1, -1), repeat=n)])
         rho = rng.uniform(0.5, 3.0, n)
         args = (d.mu_vecs, d.starts, d.roots_of, d.srcs_of, d.root_vecs)
-        got = _kernels.hc_coeffs(*args, kw, lam, rho)
-        ref = _hc_coeffs_loop(d, kw, lam, rho)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        got = _kernels.hc_coeffs(*args, kw, lams, rho)
+        assert got.shape == (2**n, len(d.mu_vecs))
+        for row, lam_w in zip(got, lams):
+            ref = _hc_coeffs_loop(d, kw, lam_w, rho)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_nongeneric_row_rejects_the_stack(self):
+        # (3, 1) is the resonance of test_degenerate_lambda_rejected; the
+        # rows around it pass the check on their own
+        k = MultiplicityBC(1.0, 1, 0.5, 2)
+        compute_coeffs(k, [[2.55, 1.07], [-2.55, 1.07]], order=6)
+        with pytest.raises(SmallDenominator):
+            compute_coeffs(k, [[2.55, 1.07], [3.0, 1.0], [-2.55, 1.07]], order=6)
 
     def test_leading_coefficient(self):
         k = MultiplicityBC(1.0, 1, 0.5, 2)
@@ -165,12 +178,40 @@ class TestCoefficients:
             assert abs(got - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
+class TestWeylSumTables:
+    @pytest.mark.parametrize("n, order, km", [(2, 20, 1), (2, 20, 0), (3, 12, 1), (3, 12, 0)])
+    def test_matches_per_image_loop(self, n, order, km):
+        # image by image, in the order of weyl_elements: the table of a
+        # pass against the single-lambda table, and the c-value of the
+        # stacked call against the single-lambda one
+        k = MultiplicityBC(1.3, km, 0.7, n)
+        lam = np.array([4.15 + 0.2j, 2.55, 1.07][-n:])
+        tables = weyl_sum_tables(k, lam, order)
+        images = [apply_weyl(w, lam) for w in weyl_elements(n)]
+        assert len(tables) == len(images)
+        for (c_w, table), lam_w in zip(tables, images):
+            one = compute_coeffs(k, lam_w, order).coeffs
+            assert np.array_equal(table.lam, lam_w)
+            assert np.max(np.abs(table.coeffs - one)) <= 1e-13 * np.max(np.abs(one))
+            c_one = c_normalized(k, lam_w)
+            assert abs(c_w - c_one) <= 1e-15 * abs(c_one)
+
+
 class TestSeriesEval:
     def test_chamber_required(self):
         k = MultiplicityBC(1.0, 1, 0.5, 2)
         table = compute_coeffs(k, [2.55, 1.07], order=6)
         with pytest.raises(ChamberError):
             series_eval(table, [0.4, 1.0])
+
+    @pytest.mark.parametrize("t", [[1.0, 1.0], [1.0, 0.0], [1.0, -0.2],
+                                   [np.nan, 0.4], [1.0, np.nan]])
+    def test_chamber_walls_and_nan_refused(self, t):
+        # the walls, the outside and a NaN coordinate, on a row of a stack
+        k = MultiplicityBC(1.0, 1, 0.5, 2)
+        row = compute_coeffs(k, [[2.55, 1.07], [1.07, -2.55]], order=6).rows()[1]
+        with pytest.raises(ChamberError):
+            series_eval(row, t)
 
     def test_tail_rejected_when_shallow(self):
         k = MultiplicityBC(1.0, 1, 0.5, 2)
@@ -188,6 +229,19 @@ class TestSeriesEval:
         sv = series_eval(lo, t, tail_tol=1e-2)
         ref = series_eval(hi, t, tail_tol=1e-10).value
         assert abs(sv.value - ref) <= 2.0 * sv.tail_bound
+
+    def test_tail_is_the_last_shell(self):
+        # the tail bound sums exactly the terms of height == order
+        k = MultiplicityBC(1.0, 1, 0.5, 2)
+        table = compute_coeffs(k, [2.55, 1.07], order=10)
+        d, t = table.data, np.array([2.7, 1.2])
+        assert np.all(d.mu_vecs[d.last:].cumsum(axis=1).sum(axis=1) == 10)
+        assert np.all(d.mu_vecs[:d.last].cumsum(axis=1).sum(axis=1) < 10)
+        lead = abs(np.exp((table.lam - table.rho) @ t))
+        shell = np.sum(np.abs(table.coeffs * np.exp(-d.mu_vecs @ (2.0 * t)))[d.last:])
+        g = 2.0 * min(t[0] - t[1], t[1])
+        expected = shell * lead * np.exp(-g) / (1.0 - np.exp(-g))
+        assert rel(series_eval(table, t, tail_tol=1e-2).tail_bound, expected) < 1e-12
 
     def test_leading_exponential(self):
         k = MultiplicityBC(1.0, 1, 0.5, 2)

@@ -189,6 +189,18 @@ class TestPartialSphericalFunction:
         with pytest.raises(DegenerateLambda):
             f_theta(K1, lam, T2)
 
+    @pytest.mark.parametrize("split, refused", [(1e-6, True), (1e-3, False)])
+    def test_near_coinciding_lambda(self, split, refused):
+        # det / pi(lambda) loses about eps / |lambda_1^2 - lambda_2^2|; below
+        # the cluster gap 1e-4 of lambda^2 (a split of about 1.2e-4 here) it
+        # is refused, not returned with an error near 1e-8
+        lam = [2.5 + split, 2.5]
+        if refused:
+            with pytest.raises(DegenerateLambda):
+                f_theta(K1, lam, T2)
+        else:
+            assert np.isfinite(f_theta(K1, lam, T2).value)
+
     def test_permutation_invariance(self):
         a = f_theta(K0, LAM2, T2).value
         b = f_theta(K0, LAM2[::-1].copy(), T2).value
