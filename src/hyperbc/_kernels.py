@@ -23,6 +23,11 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 
+#: hyp2f1_series sums this many terms in its Python loop, then blocks of
+#: _SERIES_BLOCK in numpy: a block costs about 48 us, a loop term 0.45 us
+_SERIES_HEAD = 256
+_SERIES_BLOCK = 512
+
 
 def log_gamma_right(z):
     """Lanczos log-Gamma for Re z >= 0.5."""
@@ -55,12 +60,19 @@ def hyp2f1_series(a, b, c, w, maxterms):
     """Direct Gauss series sum_{k} (a)_k (b)_k / ((c)_k k!) w^k for |w| < 1.
 
     Returns (value, nterms); nterms == maxterms signals non-convergence.
+    The first _SERIES_HEAD terms are summed one at a time; a longer series
+    (w = tanh^2 t near 1 takes about cosh^2 t terms) sums its tail in numpy
+    blocks of _SERIES_BLOCK terms, with the same products and partial sums
+    taken in the same order, the same stopping test on every term, and the
+    sum cut at its first hit.  Only numpy's complex division, in the ratios,
+    can differ from the loop in the last bit.
     """
     s = 1.0 + 0.0j
     term = 1.0 + 0.0j
     aw = abs(w)
     k = 0
-    while k < maxterms:
+    head = min(maxterms, _SERIES_HEAD)
+    while k < head:
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
         term = term * ratio
         s += term
@@ -72,6 +84,23 @@ def hyp2f1_series(a, b, c, w, maxterms):
             q = rr if rr > aw else aw
             if q < 1.0 and abs(term) * q / (1.0 - q) <= 1e-16 * abs(s):
                 return s, k
+    # like the loop's float arithmetic, a block does not warn: its overflow
+    # gives what the loop's would, and a 1 - q = 0 comes only where q < 1
+    # fails
+    with np.errstate(all="ignore"):
+        while k < maxterms:
+            kk = np.arange(k, min(k + _SERIES_BLOCK, maxterms), dtype=float)
+            ratio = (a + kk) * (b + kk) / ((c + kk) * (kk + 1.0)) * w
+            terms = np.cumprod(np.concatenate(([term], ratio)))[1:]
+            sums = np.cumsum(np.concatenate(([s], terms)))[1:]
+            rr = np.abs(ratio)
+            q = np.maximum(rr, aw)
+            hit = (terms == 0.0) | ((rr < 1.0) & (q < 1.0)
+                                    & (np.abs(terms) * q / (1.0 - q) <= 1e-16 * np.abs(sums)))
+            i = int(hit.argmax())
+            if hit[i]:
+                return complex(sums[i]), k + i + 1
+            term, s, k = complex(terms[-1]), complex(sums[-1]), k + len(kk)
     return s, maxterms
 
 

@@ -33,10 +33,6 @@ class StencilConfig:
             raise ParameterError(f"scheme must be 2, got {self.scheme}")
 
 
-def _dir_d1(f, t, d, h):
-    return (f(t + h * d) - f(t - h * d)) / (2.0 * h)
-
-
 def _check_singularity(k: MultiplicityBC, t: np.ndarray, h: float) -> None:
     margin = 10.0 * h
     n = len(t)
@@ -64,31 +60,34 @@ def _coth_rational(x: float) -> float:
 def _Lj_once(k: MultiplicityBC, j: int, g, t: np.ndarray, h: float, coth, g0):
     """Rank-one block L_j = d^2/dt_j^2 + 2(k_s coth t_j + 2 k_l coth 2t_j)
     d/dt_j applied by finite differences; g0 = g(t), and coth is _coth or
-    its rational limit _coth_rational."""
+    its rational limit _coth_rational.  Returns L_j g and the central
+    difference for d/dt_j g."""
     ks, kl = complex(k.k_s), complex(k.k_l)
     e = np.eye(len(t))[j]
     gp, gm = g(t + h * e), g(t - h * e)
     d1 = (gp - gm) / (2.0 * h)
     d2 = (gp - 2.0 * g0 + gm) / (h * h)
     coef = 2.0 * (ks * coth(t[j]) + 2.0 * kl * coth(2.0 * t[j]))
-    return d2 + coef * d1
+    return d2 + coef * d1, d1
 
 
 def _L_once(k: MultiplicityBC, f, t: np.ndarray, h: float, coth, f0):
-    """L(k) f at t by the step-h stencils, given f0 = f(t)."""
+    """L(k) f at t by the step-h stencils, given f0 = f(t).  The middle-root
+    terms take the derivative along e_i +- e_j as d/dt_i f +- d/dt_j f, from
+    the axis differences of the L_j, so f is called 2n times per step."""
     km = k.k_m
     n = len(t)
-    eye = np.eye(n)
     total = 0.0 + 0.0j
+    d1 = []
     for j in range(n):
-        total += _Lj_once(k, j, f, t, h, coth, f0)
+        lj, dj = _Lj_once(k, j, f, t, h, coth, f0)
+        total += lj
+        d1.append(dj)
     if km != 0:
         for i in range(n):
             for j in range(i + 1, n):
                 for s in (-1.0, 1.0):
-                    d = eye[i] + s * eye[j]
-                    dd = _dir_d1(f, t, d, h)
-                    total += 2.0 * km * coth(t[i] + s * t[j]) * dd
+                    total += 2.0 * km * coth(t[i] + s * t[j]) * (d1[i] + s * d1[j])
     return total
 
 
@@ -189,7 +188,7 @@ def _apply_monomial(k, expo, g, t, cfg, coth):
         return _apply_monomial(k, rest, g, s, cfg, coth)
 
     return _richardson(
-        lambda h: _Lj_once(k, j, inner, t, h, coth, inner(t)), cfg.h, cfg.richardson
+        lambda h: _Lj_once(k, j, inner, t, h, coth, inner(t))[0], cfg.h, cfg.richardson
     )
 
 

@@ -55,6 +55,10 @@ class SmallDenominator(NumericalError):
     """Genericity margin of the series recursion fails."""
 
 
+class Overflow(NumericalError):
+    """A value left the floating-point range."""
+
+
 class TailTooLarge(NumericalError):
     """Truncated series tail estimate exceeds the requested tolerance."""
 

@@ -10,16 +10,18 @@ gathers every point's n x n matrix from that table.  At k_m = 1 a point
 where det / Vandermonde would cancel (coinciding lambda_i^2, a wall, the
 origin) takes the divided differences of _f_det_divided instead."""
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateLambda, DomainError, HalfPlaneError, NonConvergence, ParameterError
+from .errors import (DegenerateLambda, DomainError, HalfPlaneError, NonConvergence, Overflow,
+                     ParameterError)
 from .hcseries import check_genericity, root_data
-from .jacobi import jacobi_phi, jacobi_phi_asymptotic
+from .jacobi import jacobi_phi, jacobi_phi_asymptotic, squared
 from .rootsystem import (
     MultiplicityBC,
     _pi,
@@ -40,6 +42,9 @@ ORIGIN_S = 0.5
 #: the plain det / Vandermonde ratio loses about eps / gap there, so FTheta,
 #: which has no divided-difference path, refuses such lambda
 CLUSTER_GAP = 1e-4
+#: a plain det whose condition estimate times 2^-52 exceeds this, the 1e-8
+#: of the reference checks, may have lost it to cancellation
+PLAIN_LOSS_TOL = 1e-8
 
 TARGETS = ("F", "PhiSeries", "FTheta", "BesselBC")
 
@@ -122,13 +127,15 @@ def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
             den: complex = 1.0, degenerate: bool = False) -> EvalResult:
     """The reduction shared by every evaluator: perm(mat) / n! for
     k_m = 0, num * det(mat) / den for k_m = 1, with the cancellation
-    estimate of either."""
+    estimate of either.  A non-finite value raises Overflow."""
     if k_m == 0:
         red = _kernels.permanent(mat)
         value = red / math.factorial(len(mat))
     else:
         red = complex(np.linalg.det(mat))
         value = num * red / den
+    if not cmath.isfinite(value):
+        raise Overflow(f"the value {value} is not finite")
     return EvalResult(complex(value), _cond(mat, red), degenerate)
 
 
@@ -167,7 +174,7 @@ def _knots(t: np.ndarray, bessel: bool) -> list[float]:
     """s_j = t_j^2 for BesselBC, sinh^2 t_j for F, descending, as F's chamber
     has them; det(g(x_i, s_j)) / V(s) is symmetric in s.  math.sinh: numpy's
     vectorised sinh can differ in the last bit between memory layouts."""
-    s = [x * x for x in t.tolist()] if bessel else [math.sinh(x) ** 2 for x in t.tolist()]
+    s = [x * x for x in t.tolist()] if bessel else [squared(math.sinh, x) for x in t.tolist()]
     return sorted(s, reverse=True)
 
 
@@ -284,15 +291,29 @@ def _det_reduced(k: MultiplicityBC, lam: np.ndarray, ts: np.ndarray,
     """B det / [prod_{i<j}(lambda_i^2 - lambda_j^2) Delta_m] of F or
     BesselBC at every point: the plain det over one table of entries, or
     _f_det_divided at a point with a cluster of lambda_i^2 or of knots, or
-    with every knot below ORIGIN_S."""
+    with every knot below ORIGIN_S.  A plain point whose condition estimate
+    says it may have lost PLAIN_LOSS_TOL is reduced once more, by
+    _f_det_divided over one group of every lambda_i^2, which takes the
+    Vandermonde in lambda^2 into Newton rows; the result with the smaller
+    estimate is kept."""
     groups, knots = _x_clusters(lam), [_knots(t, bessel) for t in ts]
     routed = [len(groups) < k.n or s[0] < ORIGIN_S or any(map(_near, s, s[1:])) for s in knots]
     plain = ts[np.logical_not(routed)] if any(routed) else ts
     mats = iter((_bessel_matrix if bessel else _phi_matrix)(k, lam, plain) if len(plain) else ())
     num, vdm = constant_B(k), _pi(lam**2)
     delta = delta_m_rational if bessel else delta_m
-    return [_f_det_divided(k, lam, groups, s, bessel) if r
-            else _reduce(next(mats), 1, num, vdm * delta(t)) for t, s, r in zip(ts, knots, routed)]
+    out = []
+    for t, s, r in zip(ts, knots, routed):
+        if r:
+            out.append(_f_det_divided(k, lam, groups, s, bessel))
+            continue
+        res = _reduce(next(mats), 1, num, vdm * delta(t))
+        if res.condition_estimate * 2.0**-52 > PLAIN_LOSS_TOL:
+            alt = _f_det_divided(k, lam, [list(range(k.n))], s, bessel)
+            if alt.condition_estimate < res.condition_estimate:
+                res = replace(alt, degenerate_path=False)
+        out.append(res)
+    return out
 
 
 @_stacked

@@ -6,11 +6,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateLambda, DomainError, PoleError
+from .errors import DegenerateLambda, DomainError, Overflow, PoleError
 from .special import _near_nonpositive_int, gauss_2f1, log_gamma
 
 #: lambda this close to a positive integer is refused by jacobi_phi_asymptotic
 INTEGER_TOL = 1e-10
+
+
+def squared(f, t: float) -> float:
+    """f(t)^2 for f = math.sinh or math.cosh, raising Overflow where it
+    leaves the float range (t above about 355)."""
+    try:
+        return f(t) ** 2
+    except OverflowError:
+        raise Overflow(f"{f.__name__}(t)^2 overflows at t = {t}") from None
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,7 @@ def jacobi_phi(p: JacobiParams, lam, t: float) -> complex:
     """phi^(alpha,beta)_{i lambda}(t): even in lambda and t, equal to 1 at t=0."""
     lam = complex(lam)
     rho = p.rho1
-    z = -math.sinh(t) ** 2
+    z = -squared(math.sinh, t)
     return gauss_2f1(0.5 * (rho - lam), 0.5 * (rho + lam), p.alpha + 1.0, z)
 
 
@@ -50,7 +59,7 @@ def jacobi_phi_asymptotic(p: JacobiParams, lam, t: float) -> complex:
         k = round(lam.real)
         if k >= 1 and abs(lam - k) <= INTEGER_TOL:
             raise DegenerateLambda(f"lambda = {lam} is a positive integer")
-    z = 1.0 / math.cosh(t) ** 2
+    z = 1.0 / squared(math.cosh, t)
     if not t > 0.0 or z > 1.0 - 1e-6:
         raise DomainError(f"t = {t} too small for the asymptotic solution")
     rho = p.rho1

@@ -136,6 +136,18 @@ class TestExitCodes:
         ])
         assert code == 4 and "numerical failure" in err
 
+    @pytest.mark.parametrize("target, km, message", [
+        ("BesselBC", 1, "not finite"),  # J of i lambda t overflows to inf, det to nan
+        ("F", 0, "overflows"),  # sinh^2 t leaves the float range
+        ("F", 1, "overflows"),
+    ])
+    def test_overflow(self, capsys, target, km, message):
+        code, out, err = run(capsys, [
+            "eval", "--target", target, "--n", "2", "--k", f"1,{km},0.5",
+            "--lambda", "2.3,1.1", "--t", "400,1",
+        ])
+        assert (code, out) == (4, "") and "numerical failure" in err and message in err
+
 
 class TestGrid:
     def test_row_major_csv(self, capsys):
@@ -258,6 +270,14 @@ class TestGridFailures:
     def test_deep_t_fails(self, capsys, tmp_path):
         code, err, written = self._run(capsys, tmp_path, "0.5:7.0:3,0.2:0.4:3")
         assert (code, written) == (4, False) and "numerical failure" in err
+
+    def test_overflow_row_fails(self, capsys, tmp_path):
+        dest = tmp_path / "out.csv"
+        code, _, err = run(capsys, [
+            "grid", "--target", "BesselBC", "--n", "2", "--k", "1,1,0.5",
+            "--lambda", "2.3,1.1", "--t", "1:400:2,0.5:1.0:2", "--output", str(dest),
+        ])
+        assert (code, dest.exists()) == (4, False) and "not finite" in err
 
     def test_first_bad_row_decides(self, capsys, tmp_path):
         # row 1, (0.5, 0.5), is on a wall; a later row, (7.0, 0.5), would

@@ -99,6 +99,18 @@ class TestDeterminant:
         direct = _f_det_divided(K1, lam, _x_clusters(lam), _knots(t, True), bessel=True).value
         assert rel(direct, plain) < 1e-11
 
+    def test_cancelling_plain_point_reduced_again(self):
+        # s_1 = sinh^2 0.968 is above ORIGIN_S and four knots are below it:
+        # the plain det / Delta_m gave 1.3e-8 off, with an estimate of 1.6e15
+        ks, kl = 1.2718164851747105, 0.8659844008597055
+        lam = [4.284358107818537, 2.6697225473926434, 1.9483279916921261,
+               1.542884155819548, 1.0656737829094935]
+        t = [0.9678809863544485, 0.59650124003417, 0.26931501764841775,
+             0.21580980205489153, 0.1293119448409498]
+        got = f_determinant(MultiplicityBC(k_s=ks, k_m=1, k_l=kl, n=5), lam, t)
+        assert rel(got.value, reference.value("F", ks, kl, lam, t)) < 1e-12
+        assert got.condition_estimate < 1e3 and not got.degenerate_path
+
     def test_rank_one_reduces_to_jacobi(self):
         k = MultiplicityBC(1.0, 1, 0.5, 1)
         got = f_determinant(k, [2.3], [0.7]).value

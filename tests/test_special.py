@@ -6,13 +6,15 @@ oracle (mpmath at 40+ digits) and frozen here."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperbc import _kernels
 from hyperbc.errors import DomainError, NonConvergence, PoleError
-from hyperbc.special import bessel_j_normalized, gauss_2f1, log_gamma
+from hyperbc.special import MAX_TERMS, bessel_j_normalized, gauss_2f1, log_gamma
 
 # frozen arbitrary-precision references
 LOGGAMMA_REF = -2.0721512706826312 + 1.1809590329077773j  # z = 1.5 + 2.5i
@@ -113,6 +115,81 @@ class TestGauss2F1:
     def test_rejects_nonpositive_c(self):
         with pytest.raises(PoleError):
             gauss_2f1(0.5, 0.5, -2.0, 0.3)
+
+
+def loop_series(a, b, c, w, maxterms):
+    """The Gauss series one term at a time, as hyp2f1_series sums its head
+    (and, before it had blocks, its whole length)."""
+    s = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    aw = abs(w)
+    k = 0
+    while k < maxterms:
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
+        term = term * ratio
+        s += term
+        k += 1
+        if term == 0.0:
+            return s, k
+        rr = abs(ratio)
+        if rr < 1.0:
+            q = rr if rr > aw else aw
+            if q < 1.0 and abs(term) * q / (1.0 - q) <= 1e-16 * abs(s):
+                return s, k
+    return s, maxterms
+
+
+def pfaff_args(lam, ks, kl, t):
+    """The Pfaff series (a, c - b, c, w) of jacobi_phi at t."""
+    alpha, beta = ks + kl - 0.5, kl - 0.5
+    rho1 = alpha + beta + 1.0
+    x = -math.sinh(t) ** 2
+    c = complex(alpha + 1.0)
+    return 0.5 * (rho1 - lam), c - 0.5 * (rho1 + lam), c, complex(x / (x - 1.0))
+
+
+class TestSeriesTail:
+    """hyp2f1_series sums past its head in numpy blocks: the same number of
+    terms and the same value as the loop."""
+
+    @given(st.floats(0.05, 4.4), st.floats(0.0, 6.0), st.floats(-3.0, 3.0),
+           st.floats(0.0, 2.0), st.floats(-0.4, 1.5))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_loop(self, t, re, im, ks, kl):
+        args = pfaff_args(complex(re, im), ks, kl, t)
+        got, nterms = _kernels.hyp2f1_series(*args, MAX_TERMS)
+        want, nwant = loop_series(*args, MAX_TERMS)
+        assert nterms == nwant
+        if nterms <= _kernels._SERIES_HEAD:
+            assert got == want
+        assert rel(got, want) < 1e-12
+
+    @pytest.mark.parametrize("t", [3.6, 4.25, 4.4])
+    @pytest.mark.parametrize("lam", [3.5, 2.0 + 1.0j])
+    def test_long_series_against_mpmath(self, t, lam):
+        ks, kl = 1.0, 0.6
+        a, cb, c, _ = pfaff_args(lam, ks, kl, t)
+        z = -math.sinh(t) ** 2
+        assert _kernels.hyp2f1_series(*pfaff_args(lam, ks, kl, t), MAX_TERMS)[1] > 1500
+        want = complex(mp.hyp2f1(a, c - cb, c, z))
+        assert rel(gauss_2f1(a, c - cb, c, z), want) < 1e-12
+
+    def test_capped_series_returns_maxterms(self):
+        # 4,140 terms are needed; the cap falls inside the second block
+        args = pfaff_args(3.5, 1.0, 0.6, 4.25)
+        got, nterms = _kernels.hyp2f1_series(*args, 1000)
+        want, _ = loop_series(*args, 1000)
+        assert nterms == 1000 and rel(got, want) < 1e-12
+
+    def test_terminating_past_the_head(self):
+        # (-300)_k vanishes from k = 301 on, and at |w| >= 1 only that stops
+        # the sum: the block stops where the loop does
+        args = (-300.0 + 0j, 1.5 + 0j, 2.5 + 0j, -2.0 + 0j, 302)
+        got, nterms = _kernels.hyp2f1_series(*args)
+        want, nwant = loop_series(*args)
+        assert nterms == nwant == 301 and rel(got, want) < 1e-12
+        ref = complex(mp.hyp2f1(-300, 1.5, 2.5, -2.0))
+        assert rel(gauss_2f1(-300.0, 1.5, 2.5, -2.0), ref) < 1e-12
 
 
 class TestBesselNormalized:
