@@ -167,12 +167,10 @@ class TestSeriesTail:
     @pytest.mark.parametrize("t", [3.6, 4.25, 4.4])
     @pytest.mark.parametrize("lam", [3.5, 2.0 + 1.0j])
     def test_long_series_against_mpmath(self, t, lam):
-        ks, kl = 1.0, 0.6
-        a, cb, c, _ = pfaff_args(lam, ks, kl, t)
-        z = -math.sinh(t) ** 2
-        assert _kernels.hyp2f1_series(*pfaff_args(lam, ks, kl, t), MAX_TERMS)[1] > 1500
-        want = complex(mp.hyp2f1(a, c - cb, c, z))
-        assert rel(gauss_2f1(a, c - cb, c, z), want) < 1e-12
+        a, cb, c, w = pfaff_args(lam, 1.0, 0.6, t)
+        assert _kernels.hyp2f1_series(a, cb, c, w, MAX_TERMS)[1] > 1500
+        b, z = c - cb, -math.sinh(t) ** 2
+        assert rel(gauss_2f1(a, b, c, z), complex(mp.hyp2f1(a, b, c, z))) < 1e-12
 
     def test_capped_series_returns_maxterms(self):
         # 4,140 terms are needed; the cap falls inside the second block
