@@ -10,10 +10,11 @@ import itertools
 import json
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, PreconditionError
+from .errors import NumericalError, PreconditionError
 from .hyper import EvalRequest, evaluate
 from .rootsystem import MultiplicityBC, canonical_points
 from .verify import SUITE_NAMES, run_suite
@@ -179,16 +180,6 @@ def _json_list(records):
     yield "\n]\n"
 
 
-def _validate(args) -> MultiplicityBC:
-    ks, km, kl = args.k
-    k = MultiplicityBC(k_s=ks, k_m=km, k_l=kl, n=args.n)
-    if len(args.lam) != args.n:
-        raise ParameterError(
-            f"--lambda has {len(args.lam)} entries, --n is {args.n}"
-        )
-    return k
-
-
 def _canonical_t(args, t: np.ndarray) -> np.ndarray:
     """F and BesselBC are invariant under signed permutations of t, so raw
     points (one, or a stack) are moved into the canonical chamber; Phi and
@@ -198,35 +189,21 @@ def _canonical_t(args, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _run_eval(args) -> int:
-    k = _validate(args)
-    if len(args.t) != args.n:
-        raise ParameterError(f"--t has {len(args.t)} entries, --n is {args.n}")
-    lam = np.array(args.lam, dtype=complex)
-    t = _canonical_t(args, np.array(args.t, dtype=float))
-    req = EvalRequest(k=k, lam=lam, t=t, target=_TARGET_MAP[args.target])
-    result = evaluate(req)
-    if args.format == "json":
-        _emit(args, [json.dumps(_json_record(args, t, lam, result), indent=2) + "\n"])
-    else:
-        _emit(args, [_csv_header(args.n) + "\n", _csv_row(t, lam, result) + "\n"])
-    return 0
-
-
 def _run_grid(args) -> int:
-    """One evaluation of the whole row-major grid; the output is written
-    only once every point has a value, so a failed grid writes nothing."""
-    k = _validate(args)
-    if len(args.t) != args.n:
-        raise ParameterError(f"--t has {len(args.t)} axes, --n is {args.n}")
+    """One evaluation of the whole row-major grid, eval's being the grid
+    of its one point; the library checks the shapes of lambda and t
+    against n.  The output is written only once every point has a value,
+    so a failed grid writes nothing."""
+    ks, km, kl = args.k
+    k = MultiplicityBC(k_s=ks, k_m=km, k_l=kl, n=args.n)
     lam = np.array(args.lam, dtype=complex)
-    ts = _canonical_t(args, np.array(list(itertools.product(*args.t)), dtype=float))
-    req = EvalRequest(k=k, lam=lam, t=ts, target=_TARGET_MAP[args.target])
-    results = evaluate(req)
+    axes = [[x] for x in args.t] if args.command == "eval" else args.t
+    ts = _canonical_t(args, np.array(list(itertools.product(*axes)), dtype=float))
+    results = evaluate(EvalRequest(k=k, lam=lam, t=ts, target=_TARGET_MAP[args.target]))
     if args.format == "json":
-        _emit(args, _json_list(
-            _json_record(args, t, lam, r) for t, r in zip(ts, results)
-        ))
+        records = (_json_record(args, t, lam, r) for t, r in zip(ts, results))
+        _emit(args, _json_list(records) if args.command == "grid"
+              else [json.dumps(next(records), indent=2) + "\n"])
     else:
         _emit(args, itertools.chain(
             [_csv_header(args.n) + "\n"],
@@ -238,17 +215,7 @@ def _run_grid(args) -> int:
 def _run_verify(args) -> int:
     records = run_suite(args.suite, args.n)
     if args.format == "json":
-        payload = [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "error": r.error,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in records
-        ]
-        _emit(args, [json.dumps(payload, indent=2) + "\n"])
+        _emit(args, [json.dumps([asdict(r) for r in records], indent=2) + "\n"])
     else:
         _emit(args, itertools.chain(
             ["suite,name,error,tolerance,passed\n"],
@@ -265,11 +232,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "eval":
-            return _run_eval(args)
-        if args.command == "grid":
-            return _run_grid(args)
-        return _run_verify(args)
+        if args.command == "verify":
+            return _run_verify(args)
+        return _run_grid(args)
     except PreconditionError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3

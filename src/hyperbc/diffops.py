@@ -203,28 +203,23 @@ def _apply_dp(k, p, f, t, cfg, coth, weight_fn):
         def g(s):
             return weight_fn(s) * f(s)
 
-    total = 0.0 + 0.0j
-    for expo, coeff in p.monomials().items():
-        total += coeff * _apply_monomial(k, expo, g, t, cfg, coth)
-    if km != 0:
-        total /= weight_fn(t)
-
-    # step-halving disagreement check against a quarter of the magnitude
-    cfg2 = StencilConfig(h=cfg.h / 2.0, richardson=False) \
-        if cfg.h / 2.0 >= 1e-6 else None
-    if cfg2 is not None and not cfg.richardson:
-        total2 = 0.0 + 0.0j
+    def apply(c):
+        total = 0.0 + 0.0j
         for expo, coeff in p.monomials().items():
-            total2 += coeff * _apply_monomial(k, expo, g, t, cfg2, coth)
-        if km != 0:
-            total2 /= weight_fn(t)
-        scale = max(abs(total), abs(total2), 1e-300)
-        if abs(total - total2) > BLOWUP_FRACTION * scale:
-            raise StencilBlowup(
-                f"step-halving disagreement {abs(total - total2) / scale:.2e}"
-            )
-        total = total2
-    return total
+            total += coeff * _apply_monomial(k, expo, g, t, c, coth)
+        return total / weight_fn(t) if km != 0 else total
+
+    total = apply(cfg)
+    if cfg.richardson or cfg.h / 2.0 < 1e-6:
+        return total
+    # step-halving disagreement check against a quarter of the magnitude
+    total2 = apply(StencilConfig(h=cfg.h / 2.0, richardson=False))
+    scale = max(abs(total), abs(total2), 1e-300)
+    if abs(total - total2) > BLOWUP_FRACTION * scale:
+        raise StencilBlowup(
+            f"step-halving disagreement {abs(total - total2) / scale:.2e}"
+        )
+    return total2
 
 
 def apply_Dp(k: MultiplicityBC, p: SymmetricPolynomial, f, t,

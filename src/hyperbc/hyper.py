@@ -72,12 +72,18 @@ class EvalResult:
 
 def _stacked(fn):
     """Let an evaluator written for an (N, n) stack of points, returning a
-    list, also take one point t, shaped (n,), and return its one result."""
+    list, also take one point t, shaped (n,), and return its one result.
+    Every evaluator, and so every request, passes here: lambda shaped
+    other than (n,), or t other than (n,) or (N, n), with n = k.n, raises
+    ParameterError."""
 
     @functools.wraps(fn)
     def evaluator(k, lam, t):
-        t = np.asarray(t, dtype=float)
-        out = fn(k, np.asarray(lam, dtype=complex), np.atleast_2d(t))
+        lam, t = np.asarray(lam, dtype=complex), np.asarray(t, dtype=float)
+        if lam.shape != (k.n,) or t.ndim not in (1, 2) or t.shape[-1] != k.n:
+            raise ParameterError(f"lambda of shape {lam.shape} and t of shape "
+                                 f"{t.shape} do not match n = {k.n}")
+        out = fn(k, lam, np.atleast_2d(t))
         return out[0] if t.ndim == 1 else out
 
     return evaluator
@@ -116,18 +122,23 @@ def _require_bessel_domain(lam: np.ndarray, ts: np.ndarray) -> None:
         raise DomainError("lambda_j != 0 and t_j != 0 required")
 
 
-def _cond(mat: np.ndarray, result: complex) -> float:
-    """perm(|mat|) / |result|: perm(|mat|) sums the magnitudes of every
-    term of det(mat) and of perm(mat), so the ratio bounds what either
-    reduction can lose to cancellation."""
-    return float(_kernels.permanent(np.abs(mat)) / max(1e-300, abs(result)))
+def _cond(mat: np.ndarray) -> float:
+    """perm(|mat|), the sum of the magnitudes of every term of det(mat)
+    and of perm(mat): over |det| or |perm| it bounds what either reduction
+    can lose to cancellation.  It is finite only where every entry is."""
+    return float(_kernels.permanent(np.abs(mat)))
 
 
 def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
             den: complex = 1.0, degenerate: bool = False) -> EvalResult:
     """The reduction shared by every evaluator: perm(mat) / n! for
     k_m = 0, num * det(mat) / den for k_m = 1, with the cancellation
-    estimate of either.  A non-finite value raises Overflow."""
+    estimate of either.  A matrix with a non-finite entry (or whose
+    perm(|mat|) overflows) is refused before it is reduced, and a
+    non-finite value raises Overflow."""
+    bound = _cond(mat)
+    if not math.isfinite(bound):
+        raise Overflow(f"a matrix entry or perm(|matrix|) = {bound} is not finite")
     if k_m == 0:
         red = _kernels.permanent(mat)
         value = red / math.factorial(len(mat))
@@ -136,7 +147,7 @@ def _reduce(mat: np.ndarray, k_m: int, num: complex = 1.0,
         value = num * red / den
     if not cmath.isfinite(value):
         raise Overflow(f"the value {value} is not finite")
-    return EvalResult(complex(value), _cond(mat, red), degenerate)
+    return EvalResult(complex(value), bound / max(1e-300, abs(red)), degenerate)
 
 
 @_stacked
@@ -160,6 +171,8 @@ def phi_product(k: MultiplicityBC, lam, ts) -> list[complex]:
             val *= col[p]
         if k.k_m == 1:
             val /= delta_m(t)
+        if not cmath.isfinite(val):
+            raise Overflow(f"the product of Phi values overflows at t = {t}")
         out.append(val)
     return out
 
@@ -387,7 +400,7 @@ def evaluate(req: EvalRequest):
     of them for a stack."""
     k = req.k
     lam, t = np.asarray(req.lam, dtype=complex), np.asarray(req.t, dtype=float)
-    ts = np.atleast_2d(t)
+    ts = t[None] if t.ndim == 1 else t
     if req.target == "PhiSeries":
         out = [EvalResult(v, 1.0, False) for v in phi_product(k, lam, ts)]
     elif req.target == "FTheta":

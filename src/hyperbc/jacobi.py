@@ -63,7 +63,11 @@ def jacobi_phi_asymptotic(p: JacobiParams, lam, t: float) -> complex:
     if not t > 0.0 or z > 1.0 - 1e-6:
         raise DomainError(f"t = {t} too small for the asymptotic solution")
     rho = p.rho1
-    pref = cmath.exp((lam - rho) * math.log(2.0 * math.cosh(t)))
+    try:
+        pref = cmath.exp((lam - rho) * math.log(2.0 * math.cosh(t)))
+    except OverflowError:
+        raise Overflow(f"(2 cosh t)^(lambda - rho) overflows at lambda = {lam}, "
+                       f"t = {t}") from None
     return pref * gauss_2f1(
         0.5 * (rho - lam), 0.5 * (p.alpha - p.beta + 1.0 - lam), 1.0 - lam, z
     )

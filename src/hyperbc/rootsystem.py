@@ -63,7 +63,7 @@ def canonical_points(t: np.ndarray) -> np.ndarray:
     point keeps its coordinates."""
     ts = np.atleast_2d(t)
     srt = np.sort(np.abs(ts), axis=1)
-    ok = (srt[:, 0] > 0.0) & np.all(np.diff(srt, axis=1) != 0.0, axis=1)
+    ok = np.all(np.diff(srt, axis=1, prepend=0.0) != 0.0, axis=1)
     return np.where(ok[:, None], srt, ts[:, ::-1])[:, ::-1].reshape(t.shape)
 
 

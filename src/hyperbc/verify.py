@@ -49,19 +49,6 @@ T_MODERATE = {2: (1.0, 0.4), 3: (1.5, 0.9, 0.4)}
 
 K_POINTS = ((1.0, 0.5), (0.7, 0.3), (1.5, 1.0))
 
-SUITE_NAMES = (
-    "rank1-reduction",
-    "normalization",
-    "weyl-invariance",
-    "oracle-equivalence",
-    "eigen-residual",
-    "bessel-limit",
-    "ftheta-limit",
-    "commutativity",
-    "B-constant",
-)
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     suite: str
@@ -132,7 +119,7 @@ def weyl_sum_oracle(k: MultiplicityBC, lam, t, order: int = ORACLE_ORDER,
 # ----------------------------------------------------------------- suites
 
 
-def _suite_rank1(records):
+def _suite_rank1(records, ns):
     k1 = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=1)
     k0 = MultiplicityBC(k_s=1.0, k_m=0, k_l=0.5, n=1)
     jp = k1.jacobi
@@ -279,7 +266,7 @@ def _suite_eigen(records, ns):
             )
 
 
-def _suite_bessel(records):
+def _suite_bessel(records, ns):
     lam = np.array(LAM_GENERIC[2])
     t = np.array(T_MODERATE[2])
     for km in (0, 1):
@@ -293,7 +280,7 @@ def _suite_bessel(records):
         records.append(_record("bessel-limit", f"k_m={km} error at eps=1e-3", errs[2], 1e-4))
 
 
-def _suite_ftheta(records):
+def _suite_ftheta(records, ns):
     lam = np.array(LAM_GENERIC[2], dtype=complex)
     # traceless base point: the closed-form limits hold as printed on the
     # slice sum(t_j) = 0 (off the slice the two sides differ by the factor
@@ -317,7 +304,7 @@ def _suite_ftheta(records):
         records.append(_record("ftheta-limit", f"k_m={km} error at u=8", errs[2], 1e-4))
 
 
-def _suite_commutativity(records):
+def _suite_commutativity(records, ns):
     k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
     p1 = SymmetricPolynomial.elementary(1, 2)
     p2 = SymmetricPolynomial.elementary(2, 2)
@@ -347,29 +334,27 @@ def _suite_bconst(records, ns):
         records.append(_record("B-constant", f"n={n} 5x5 (k_s,k_l) grid", worst, 1e-8))
 
 
+#: every suite, by name; each appends its records for the ranks ns, which
+#: the suites without a rank parameter ignore
+SUITES = {
+    "rank1-reduction": _suite_rank1,
+    "normalization": _suite_normalization,
+    "weyl-invariance": _suite_weyl,
+    "oracle-equivalence": _suite_oracle,
+    "eigen-residual": _suite_eigen,
+    "bessel-limit": _suite_bessel,
+    "ftheta-limit": _suite_ftheta,
+    "commutativity": _suite_commutativity,
+    "B-constant": _suite_bconst,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, n: int | None = None) -> list:
     """Run one named suite; n restricts the rank where applicable
     (default: both 2 and 3)."""
-    if name not in SUITE_NAMES:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    ns = (n,) if n is not None else (2, 3)
     records: list = []
-    if name == "rank1-reduction":
-        _suite_rank1(records)
-    elif name == "normalization":
-        _suite_normalization(records, ns)
-    elif name == "weyl-invariance":
-        _suite_weyl(records, ns)
-    elif name == "oracle-equivalence":
-        _suite_oracle(records, ns)
-    elif name == "eigen-residual":
-        _suite_eigen(records, ns)
-    elif name == "bessel-limit":
-        _suite_bessel(records)
-    elif name == "ftheta-limit":
-        _suite_ftheta(records)
-    elif name == "commutativity":
-        _suite_commutativity(records)
-    elif name == "B-constant":
-        _suite_bconst(records, ns)
+    SUITES[name](records, (n,) if n is not None else (2, 3))
     return records

@@ -128,6 +128,14 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("t", ["1.0", ",", "1.0,0.4,0.2"])
+    def test_precondition_t_mismatch(self, capsys, t):
+        code, out, err = run(capsys, [
+            "eval", "--target", "F", "--n", "2", "--k", "1,1,0.5",
+            "--lambda", "2.55,1.07", "--t", t,
+        ])
+        assert (code, out) == (3, "") and "do not match n = 2" in err
+
     def test_numerical_failure(self, capsys):
         # very deep t pushes the Gauss-series argument against its radius
         code, _, err = run(capsys, [
@@ -147,6 +155,20 @@ class TestExitCodes:
             "--lambda", "2.3,1.1", "--t", "400,1",
         ])
         assert (code, out) == (4, "") and "numerical failure" in err and message in err
+
+    @pytest.mark.parametrize("target, km, lam, t", [
+        # (2 cosh t)^(lambda - rho) of the asymptotic solution leaves the float range
+        ("FTheta", 1, "300.5,1.5", "3,1"),
+        ("Phi", 0, "300.5,1.5", "3,1"),
+        # each factor is finite, their product is not
+        ("Phi", 0, "160.3,150.7", "4,3"),
+    ])
+    def test_phi_overflow(self, capsys, target, km, lam, t):
+        code, out, err = run(capsys, [
+            "eval", "--target", target, "--n", "2", "--k", f"1,{km},0.5",
+            "--lambda", lam, "--t", t,
+        ])
+        assert (code, out) == (4, "") and "overflows" in err
 
 
 class TestGrid:
@@ -278,6 +300,10 @@ class TestGridFailures:
             "--lambda", "2.3,1.1", "--t", "1:400:2,0.5:1.0:2", "--output", str(dest),
         ])
         assert (code, dest.exists()) == (4, False) and "not finite" in err
+
+    def test_axis_count_mismatch_rejected(self, capsys, tmp_path):
+        code, err, written = self._run(capsys, tmp_path, "0.5:1.0:3")
+        assert (code, written) == (3, False) and "do not match n = 2" in err
 
     def test_first_bad_row_decides(self, capsys, tmp_path):
         # row 1, (0.5, 0.5), is on a wall; a later row, (7.0, 0.5), would

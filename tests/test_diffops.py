@@ -22,6 +22,7 @@ from hyperbc.hyper import bessel_bcn, f_determinant, phi_product
 from hyperbc.jacobi import jacobi_phi
 from hyperbc.rootsystem import MultiplicityBC, rho
 from hyperbc.special import bessel_j_normalized
+from hyperbc.verify import LAM_GENERIC, _deep_points
 
 K1 = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=2)
 K1R1 = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=1)
@@ -166,6 +167,26 @@ class TestApplyDp:
         ev = float(np.sum(LAM2**2))
         got = apply_Dp_rational(K1, p1, f, T2, StencilConfig(h=0.01))
         assert rel(got, ev * f(T2)) < 1e-7
+
+    @pytest.mark.parametrize("km", [0, 1])
+    def test_step_halving_second_order(self, km):
+        # without Richardson the value is the one at h / 2 once the
+        # step-halving check passes; the e_2 eigen-residual on the product
+        # then falls like h^2 (measured 1.95e-3 at h = 0.02, 4.9e-4 at 0.01)
+        k = MultiplicityBC(k_s=1.0, k_m=km, k_l=0.5, n=2)
+        lam = np.array(LAM_GENERIC[2])
+        x = lam**2 - complex(k.c0) ** 2
+        td = _deep_points(2)[0]
+        p2 = SymmetricPolynomial.elementary(2, 2)
+        f = lambda s: phi_product(k, lam, s)
+
+        def residual(h):
+            got = apply_Dp(k, p2, f, td, StencilConfig(h, richardson=False))
+            return rel(got, x[0] * x[1] * f(td))
+
+        coarse, fine = residual(0.02), residual(0.01)
+        assert coarse <= 3e-3
+        assert 3.5 <= coarse / fine <= 4.5
 
     def test_step_halving_blowup(self):
         # a nested second-order application at a step near the floor loses

@@ -324,6 +324,38 @@ class TestStacks:
             f_determinant(K1, LAM2, np.array([[1.0, 0.4], [0.4, 1.0], [0.3, 0.3]]))
 
 
+class TestShapes:
+    """Every evaluator, and so evaluate, refuses lambda not shaped (n,) or
+    t not shaped (n,) or (N, n) with ParameterError."""
+
+    # (lambda, t) at n = 2: lambda too short, one point too narrow, a stack
+    # too wide
+    MISMATCHED = [([2.55], [1.0, 0.4]), ([2.55, 1.07], [1.0]),
+                  ([2.55, 1.07], [[1.3, 0.9, 0.4]])]
+
+    @pytest.mark.parametrize("lam,t", MISMATCHED)
+    @pytest.mark.parametrize("km", [0, 1])
+    @pytest.mark.parametrize("target", ["F", "PhiSeries", "FTheta", "BesselBC"])
+    def test_evaluate_refuses(self, target, km, lam, t):
+        k = MultiplicityBC(k_s=1.0, k_m=km, k_l=0.5, n=2)
+        req = EvalRequest(k=k, lam=np.array(lam), t=np.array(t), target=target)
+        with pytest.raises(ParameterError, match=r"do not match n = 2"):
+            evaluate(req)
+
+    def test_scalar_t_refused(self):
+        k = MultiplicityBC(k_s=1.0, k_m=1, k_l=0.5, n=1)
+        req = EvalRequest(k=k, lam=np.array([2.3]), t=np.array(0.7), target="F")
+        with pytest.raises(ParameterError, match=r"t of shape \(\) do not match n = 1"):
+            evaluate(req)
+
+    @pytest.mark.parametrize("fn,k", [(f_determinant, K1), (f_permanent, K0),
+                                      (f_theta, K1), (bessel_bcn, K1), (phi_product, K1)])
+    @pytest.mark.parametrize("lam,t", [([2.55], [1.0, 0.4]), ([2.55, 1.07], [[1.3, 0.9, 0.4]])])
+    def test_evaluators_refuse(self, fn, k, lam, t):
+        with pytest.raises(ParameterError, match=r"lambda of shape \(\d,\) and t of shape"):
+            fn(k, lam, t)
+
+
 @st.composite
 def _clustered(draw, kind):
     """(target, k_s, k_l, lambda, t) at k_m = 1, n <= 4, with lambda_i^2
